@@ -78,6 +78,7 @@ class PodemResult:
     pattern: dict[str, int] | None  #: full input assignment, or None
     status: str  #: "detected", "untestable" or "aborted"
     backtracks: int
+    decisions: int  #: objective-driven input assignments made
 
     @property
     def success(self) -> bool:
@@ -299,6 +300,7 @@ class Podem:
         assignment: dict[str, int] = {}
         decisions: list[tuple[str, int, bool]] = []  # (pi, value, alternative_tried)
         backtracks = 0
+        n_decisions = 0
         while True:
             good, faulty = self._simulate(assignment, fault)
             if fault is not None:
@@ -311,13 +313,14 @@ class Podem:
                     pi: assignment.get(pi, self._rng.getrandbits(1))
                     for pi in self.netlist.inputs
                 }
-                return PodemResult(pattern, "detected", backtracks)
+                return PodemResult(pattern, "detected", backtracks, n_decisions)
 
             objective = self._next_objective(fault, goal, good, faulty)
             if objective is not None:
                 pi, val = self._backtrace(*objective, good)
                 assignment[pi] = val
                 decisions.append((pi, val, False))
+                n_decisions += 1
                 continue
 
             # Conflict: chronological backtracking.
@@ -327,12 +330,14 @@ class Podem:
                 if not tried:
                     backtracks += 1
                     if backtracks > self.max_backtracks:
-                        return PodemResult(None, "aborted", backtracks)
+                        return PodemResult(
+                            None, "aborted", backtracks, n_decisions
+                        )
                     assignment[pi] = val ^ 1
                     decisions.append((pi, val ^ 1, True))
                     break
             else:
-                return PodemResult(None, "untestable", backtracks)
+                return PodemResult(None, "untestable", backtracks, n_decisions)
 
     def _next_objective(
         self,

@@ -21,6 +21,14 @@ from repro.faults.models import Defect, StuckAtDefect
 from repro.sim.faultsim import effective_pattern_order, fault_coverage
 from repro.sim.patterns import PatternSet
 
+#: Bound on the whole PODEM top-off, in gate evaluations.  Every decision
+#: and every backtrack re-simulates the good and faulty machines over the
+#: full netlist, so one step costs ``n_gates`` of them.  A count rather
+#: than seconds: the same seed yields the same test set on any machine.
+#: Only the random DAGs rnd300/rnd1000/rnd3000 reach it; the hungriest
+#: other shipped circuit, cmp16, needs 1.9M.
+PODEM_TOPOFF_GATE_EVALS = 2_500_000
+
 
 @dataclass
 class AtpgReport:
@@ -45,7 +53,6 @@ def generate_stuck_at_tests(
     max_random_batches: int = 8,
     max_backtracks: int = 64,
     compact: bool = True,
-    podem_time_budget: float | None = 30.0,
 ) -> AtpgReport:
     """Generate a compacted stuck-at test set for ``netlist``.
 
@@ -56,12 +63,9 @@ def generate_stuck_at_tests(
     ``max_backtracks`` is deliberately modest: random-resistant faults in
     heavily redundant logic (random DAGs especially) are usually
     *untestable*, and proving that is exponential; an abort only costs a
-    little reported coverage.  ``podem_time_budget`` (seconds) bounds the
+    little reported coverage.  :data:`PODEM_TOPOFF_GATE_EVALS` bounds the
     whole top-off phase; leftover faults are counted as aborted.
     """
-    import time as _time
-
-    deadline = None if podem_time_budget is None else _time.monotonic() + podem_time_budget
     rng = make_rng(seed)
     collapsed = collapse_stuck_at(netlist)
     targets: list[Defect] = list(collapsed.representatives)
@@ -90,13 +94,15 @@ def generate_stuck_at_tests(
     n_untestable = 0
     n_aborted = 0
     still_undetected: list[Defect] = []
+    steps_left = PODEM_TOPOFF_GATE_EVALS // max(netlist.n_gates, 1)
     for fault in grading.undetected:
         assert isinstance(fault, StuckAtDefect)
-        if deadline is not None and _time.monotonic() > deadline:
+        if steps_left <= 0:
             n_aborted += 1
             still_undetected.append(fault)
             continue
         result = engine.generate(fault)
+        steps_left -= result.decisions + result.backtracks
         if result.success:
             podem_vectors.append(result.pattern)
         elif result.status == "untestable":

@@ -5,9 +5,10 @@
 - :mod:`repro.sim.threeval` -- three-valued (0/1/X) simulation with site
   overrides (the X-injection engine of the diagnosis method),
 - :mod:`repro.sim.event` -- cone-restricted incremental resimulation,
-- :mod:`repro.sim.compile` -- per-netlist compiled slot-indexed kernels
-  behind the three entry points above (``REPRO_SIM=interp`` selects the
-  interpreted oracle path),
+- :mod:`repro.sim.compile` -- per-netlist compiled slot-indexed kernels,
+  the one production backend behind the three entry points above
+  (``REPRO_SIM=interp`` selects the interpreted walk, kept as their
+  differential oracle),
 - :mod:`repro.sim.cache` -- the cross-stage ``SimContext`` memo (base
   values, flip signatures, resim diffs, X reach) keyed by content
   fingerprints,

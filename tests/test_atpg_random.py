@@ -1,5 +1,8 @@
 """Random+compaction ATPG flow and transition test generation."""
 
+import itertools
+import time
+
 import pytest
 
 from repro.atpg.random_gen import generate_stuck_at_tests
@@ -35,6 +38,24 @@ def test_deterministic_for_seed():
     a = generate_stuck_at_tests(c17(), seed=9)
     b = generate_stuck_at_tests(c17(), seed=9)
     assert a.patterns == b.patterns
+
+
+def test_topoff_independent_of_wall_clock(monkeypatch):
+    """The test set depends on the seed alone, never on machine speed."""
+    netlist = ripple_carry_adder(8)
+
+    def run():
+        # One tiny random batch leaves most faults to the PODEM top-off.
+        report = generate_stuck_at_tests(
+            netlist, seed=2, random_batch=2, max_random_batches=1
+        )
+        return report.patterns, report.n_aborted, report.n_untestable
+
+    real = run()
+    assert real[0].n > 2  # the top-off contributed patterns
+    clock = itertools.count(step=1000.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    assert run() == real
 
 
 def test_report_accounting():

@@ -32,7 +32,11 @@ from repro.sim.compile import (
     emit_kernel_source,
     kernels_for,
 )
-from repro.sim.event import changed_outputs, resimulate_with_overrides
+from repro.sim.event import (
+    changed_outputs,
+    resim_output_diff,
+    resimulate_with_overrides,
+)
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.sim.threeval import simulate3, x_injection_reach
@@ -87,7 +91,7 @@ def _deep_ordered(obj):
 
 #: Backend-specific counters, excluded from the dispatcher parity audit
 #: (never surfaced in reports).
-_BACKEND_ONLY_COUNTERS = ("kernel_compiles", "packed_words")
+_BACKEND_ONLY_COUNTERS = ("kernel_compiles",)
 
 
 def _dispatcher_counters() -> dict:
@@ -98,24 +102,79 @@ def _dispatcher_counters() -> dict:
 
 
 def _both_backends(monkeypatch, fn):
-    """Run ``fn()`` under every backend, auditing cross-backend identity.
+    """Run ``fn()`` under both backends, auditing counter parity.
 
-    Asserts the packed result equals the compiled one (nested dict key
-    order included) and that the dispatcher-level ``SimCounters`` are
-    identical across all three ``REPRO_SIM`` settings, then returns
-    ``(compiled, interp)`` for the caller's compiled-vs-oracle checks.
+    Asserts the dispatcher-level ``SimCounters`` are identical under both
+    ``REPRO_SIM`` settings, then returns ``(compiled, interp)`` for the
+    caller's compiled-vs-oracle checks.
     """
     results = {}
     counters = {}
-    for env in ("compiled", "packed", "interp"):
+    for env in ("compiled", "interp"):
         monkeypatch.setenv("REPRO_SIM", env)
         reset_sim_caches()
         results[env] = fn()
         counters[env] = _dispatcher_counters()
-    assert _deep_ordered(results["packed"]) == _deep_ordered(results["compiled"])
-    assert counters["packed"] == counters["compiled"]
     assert counters["interp"] == counters["compiled"]
     return results["compiled"], results["interp"]
+
+
+#: Pattern counts spanning the interesting widths of a Python-int vector:
+#: one bit, just under/at/over one machine word, ragged multi-word tails.
+WIDTHS = (1, 63, 64, 65, 100, 130)
+
+
+def _scenario(seed: int, n: int):
+    """One full engine workout; returns an order-sensitive result bundle."""
+    rng = random.Random(seed * 1000 + n)
+    netlist = random_dag(
+        rng.randint(25, 80),
+        n_inputs=rng.randint(4, 8),
+        n_outputs=rng.randint(2, 5),
+        seed=seed,
+        max_fanin=rng.choice([2, 3]),
+    )
+    pats = PatternSet.random(netlist, n, seed=seed + 1)
+    mask = pats.mask
+    gates = sorted(netlist.gates)
+    out = {}
+    base = simulate(netlist, pats)
+    out["base"] = list(base.items())
+
+    stem = Site(gates[len(gates) // 2])
+    input_stem = Site(netlist.inputs[0])
+    gname = gates[-1]
+    pin = Site(netlist.gates[gname].inputs[0], branch=(gname, 0))
+    over = {
+        stem: rng.getrandbits(n) & mask,
+        input_stem: rng.getrandbits(n) & mask,
+        pin: rng.getrandbits(n) & mask,
+    }
+    out["forced"] = list(simulate(netlist, pats, over).items())
+    # Repeats run on warm kernels and memoized cone slots; they must
+    # return exactly what the first, cold call did.
+    for rep in range(3):
+        out[f"resim{rep}"] = list(
+            resimulate_with_overrides(netlist, base, over, mask).items()
+        )
+        out[f"diff{rep}"] = list(
+            resim_output_diff(netlist, base, over, mask).items()
+        )
+
+    # Three-valued with an all-X input column and raw (unmasked) TVs.
+    over3 = {
+        Site(netlist.inputs[1]): tv_all_x(mask),
+        stem: (rng.getrandbits(n + 2), rng.getrandbits(n + 2)),
+        pin: (rng.getrandbits(n), rng.getrandbits(n)),
+    }
+    out["sim3"] = list(simulate3(netlist, pats, over3).items())
+
+    for rep in range(2):
+        for site in (stem, input_stem, pin, Site(netlist.outputs[0])):
+            out[f"xreach{rep}{site}"] = list(
+                x_injection_reach(netlist, pats, site, base).items()
+            )
+    return out
 
 
 # -- differential properties ---------------------------------------------------
@@ -204,6 +263,12 @@ class TestDifferential:
         compiled, interp = _both_backends(monkeypatch, run)
         assert compiled == interp
 
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scenario_matches_interp(self, monkeypatch, seed, n):
+        compiled, interp = _both_backends(monkeypatch, lambda: _scenario(seed, n))
+        assert compiled == interp
+
     def test_structured_circuits_match(self, monkeypatch):
         for n in (ripple_carry_adder(4), alu(4)):
             pats = PatternSet.random(n, 31, seed=7)
@@ -231,7 +296,7 @@ class TestDifferential:
         n = _random_netlist(1)
         pats = PatternSet.random(n, 5, seed=1)
         bad = {Site(next(iter(n.nets()))): 1 << pats.n}
-        for env in ("compiled", "packed", "interp"):
+        for env in ("compiled", "interp"):
             monkeypatch.setenv("REPRO_SIM", env)
             with pytest.raises(SimulationError):
                 simulate(n, pats, overrides=bad)
@@ -255,10 +320,13 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_SIM", alias)
         assert backend() == "interp"
 
-    @pytest.mark.parametrize("alias", ["packed", "PPSFP", " ppsfp "])
-    def test_packed_aliases(self, monkeypatch, alias):
-        monkeypatch.setenv("REPRO_SIM", alias)
-        assert backend() == "packed"
+    @pytest.mark.parametrize("value", ["packed", "PPSFP", " ppsfp "])
+    def test_packed_is_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SIM", value)
+        with pytest.raises(
+            SimulationError, match=r"\(expected 'compiled' or 'interp'\)$"
+        ):
+            backend()
 
     def test_unknown_backend_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM", "verilator")
@@ -399,5 +467,5 @@ class TestReportIdentity:
             return payload, report.summary()
 
         (c_dict, c_summary), (i_dict, i_summary) = _both_backends(monkeypatch, run)
-        assert c_dict == i_dict
+        assert _deep_ordered(c_dict) == _deep_ordered(i_dict)
         assert c_summary == i_summary

@@ -1,185 +1,20 @@
-"""Packed (PPSFP) backend: word representation + differential fuzz.
+"""Bit-packed value vectors wider than one machine word.
 
-The packed backend must be observationally identical to the compiled and
-interpreted backends -- same value dicts, same key order, same reports --
-for *any* pattern count, including ragged tails (non-multiples of 64) and
-all-X columns.  These tests fuzz random circuits against random pattern
-sets across the three backends and pin the word-level invariants the
-representation rests on: every value word stays confined to its per-word
-mask (the tail-mask invariant), and split/join round-trips exactly.
+Both backends carry one bit per pattern in a Python int, so a pattern set
+of more than 64 patterns gives vectors that span several 64-bit words.
+The full diagnosis flow must produce the same report under either backend
+at such widths.
 """
 
 from __future__ import annotations
 
-import random
-
-import pytest
-
-from repro.circuit.gates import tv_all_x
-from repro.circuit.generators import random_dag, ripple_carry_adder
+from repro.circuit.generators import ripple_carry_adder
 from repro.circuit.netlist import Site
-from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
-from repro.sim import packed as packed_mod
-from repro.sim.cache import reset_sim_caches
-from repro.sim.compile import COUNTERS
-from repro.sim.event import resim_output_diff, resimulate_with_overrides
-from repro.sim.logicsim import simulate
-from repro.sim.packed import (
-    WORD,
-    WORD_MASK,
-    PackedValues,
-    active_packed,
-    join_words,
-    packed_patterns,
-    split_vector,
-    word_count,
-    word_masks,
-)
 from repro.sim.patterns import PatternSet
-from repro.sim.threeval import simulate3, x_injection_reach
-
-#: Pattern counts spanning the interesting word shapes: sub-word, exactly
-#: one word, ragged tails, exact multiple, multi-word ragged.
-WIDTHS = (1, 63, 64, 65, 100, 130)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    reset_sim_caches()
-    yield
-    reset_sim_caches()
-
-
-# -- word representation -------------------------------------------------------
-
-
-class TestWords:
-    def test_word_count(self):
-        assert word_count(0) == 1
-        assert word_count(1) == 1
-        assert word_count(64) == 1
-        assert word_count(65) == 2
-        assert word_count(130) == 3
-
-    def test_word_masks_tail(self):
-        assert word_masks(0) == (0,)
-        assert word_masks(1) == (1,)
-        assert word_masks(63) == ((1 << 63) - 1,)
-        assert word_masks(64) == (WORD_MASK,)
-        assert word_masks(65) == (WORD_MASK, 1)
-        assert word_masks(130) == (WORD_MASK, WORD_MASK, 3)
-
-    @pytest.mark.parametrize("n", WIDTHS)
-    def test_split_join_roundtrip(self, n):
-        rng = random.Random(n)
-        masks = word_masks(n)
-        mask = (1 << n) - 1
-        for _ in range(50):
-            vec = rng.getrandbits(n) & mask
-            words = split_vector(vec, masks)
-            # Tail-mask invariant: every word confined to its mask.
-            assert all(w & ~m == 0 for w, m in zip(words, masks))
-            assert join_words(list(words)) == vec
-
-    @pytest.mark.parametrize("n", WIDTHS)
-    def test_packed_patterns_invariant(self, n):
-        netlist = random_dag(30, n_inputs=5, n_outputs=3, seed=n)
-        pats = PatternSet.random(netlist, n, seed=n)
-        pw = packed_patterns(pats)
-        assert pw is packed_patterns(pats)  # instance-cached
-        assert pw.n_words == word_count(n)
-        assert pw.masks == word_masks(n)
-        for words, wmask in zip(pw.in_words, pw.masks):
-            assert all(w & ~wmask == 0 for w in words)
-        for (ones, zeros), wmask in zip(pw.lifted, pw.masks):
-            # Binary lift: X nowhere, planes complementary under the mask.
-            assert all(o & z == 0 for o, z in zip(ones, zeros))
-            assert all((o | z) == wmask for o, z in zip(ones, zeros))
-
-
-# -- differential fuzz ---------------------------------------------------------
-
-
-def _scenario(seed: int, n: int):
-    """One full engine workout; returns an order-sensitive result bundle."""
-    rng = random.Random(seed * 1000 + n)
-    netlist = random_dag(
-        rng.randint(25, 80),
-        n_inputs=rng.randint(4, 8),
-        n_outputs=rng.randint(2, 5),
-        seed=seed,
-        max_fanin=rng.choice([2, 3]),
-    )
-    pats = PatternSet.random(netlist, n, seed=seed + 1)
-    mask = pats.mask
-    gates = sorted(netlist.gates)
-    out = {}
-    base = simulate(netlist, pats)
-    out["base"] = list(base.items())
-
-    stem = Site(gates[len(gates) // 2])
-    input_stem = Site(netlist.inputs[0])
-    gname = gates[-1]
-    pin = Site(netlist.gates[gname].inputs[0], branch=(gname, 0))
-    over = {
-        stem: rng.getrandbits(n) & mask,
-        input_stem: rng.getrandbits(n) & mask,
-        pin: rng.getrandbits(n) & mask,
-    }
-    out["forced"] = list(simulate(netlist, pats, over).items())
-    # Repeats cross the packed specialization threshold, checking that the
-    # guarded->specialized transition never changes results.
-    for rep in range(3):
-        out[f"resim{rep}"] = list(
-            resimulate_with_overrides(netlist, base, over, mask).items()
-        )
-        out[f"diff{rep}"] = list(
-            resim_output_diff(netlist, base, over, mask).items()
-        )
-
-    # Three-valued with an all-X input column and raw (unmasked) TVs.
-    over3 = {
-        Site(netlist.inputs[1]): tv_all_x(mask),
-        stem: (rng.getrandbits(n + 2), rng.getrandbits(n + 2)),
-        pin: (rng.getrandbits(n), rng.getrandbits(n)),
-    }
-    out["sim3"] = list(simulate3(netlist, pats, over3).items())
-
-    for rep in range(2):
-        for site in (stem, input_stem, pin, Site(netlist.outputs[0])):
-            out[f"xreach{rep}{site}"] = list(
-                x_injection_reach(netlist, pats, site, base).items()
-            )
-    return out
-
-
-def _run_backends(monkeypatch, fn):
-    results = {}
-    for env in ("compiled", "packed", "interp"):
-        monkeypatch.setenv("REPRO_SIM", env)
-        reset_sim_caches()
-        results[env] = fn()
-    return results
+from tests.test_compile import _both_backends, _deep_ordered
 
 
 class TestDifferentialFuzz:
-    @pytest.mark.parametrize("n", WIDTHS)
-    @pytest.mark.parametrize("seed", range(3))
-    def test_packed_matches_compiled_and_interp(self, monkeypatch, seed, n):
-        results = _run_backends(monkeypatch, lambda: _scenario(seed, n))
-        assert results["packed"] == results["compiled"]
-        assert results["packed"] == results["interp"]
-
-    def test_packed_simulate_returns_packed_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "packed")
-        netlist = ripple_carry_adder(4)
-        pats = PatternSet.random(netlist, 100, seed=3)
-        values = simulate(netlist, pats)
-        assert isinstance(values, PackedValues)
-        assert values.word_masks == word_masks(100)
-        # Tail-mask invariant on the joined full-width values too.
-        assert all(v & ~pats.mask == 0 for v in values.values())
-
     def test_report_byte_identity_multiword(self, monkeypatch):
         from repro.core.diagnose import Diagnoser
         from repro.faults.models import StuckAtDefect
@@ -203,92 +38,6 @@ class TestDifferentialFuzz:
             }
             return payload, report.summary()
 
-        results = _run_backends(monkeypatch, run)
-        assert results["packed"] == results["compiled"] == results["interp"]
-
-
-# -- backend gating, downgrade chain, counters ---------------------------------
-
-
-class TestBackendGate:
-    def test_active_packed_only_under_packed(self, monkeypatch):
-        netlist = ripple_carry_adder(4)
-        monkeypatch.setenv("REPRO_SIM", "compiled")
-        assert active_packed(netlist) is None
-        monkeypatch.setenv("REPRO_SIM", "packed")
-        assert active_packed(netlist) is not None
-
-    def test_downgrade_to_compiled_with_trace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "packed")
-        netlist = random_dag(40, n_inputs=6, n_outputs=3, seed=5)
-        monkeypatch.setattr(packed_mod, "MAX_PACKED_GATES", 5)
-        tracer = Tracer()
-        install_tracer(tracer)
-        try:
-            assert active_packed(netlist) is None
-            assert active_packed(netlist) is None  # traced only once
-        finally:
-            uninstall_tracer(tracer)
-        events = [s for s in tracer.roots if s.name == "sim.packed_downgrade"]
-        assert len(events) == 1
-        assert events[0].meta["fallback"] == "compiled"
-        # The engines still answer (served by the compiled kernels).
-        pats = PatternSet.random(netlist, 70, seed=5)
-        packed_vals = dict(simulate(netlist, pats))
-        monkeypatch.setenv("REPRO_SIM", "compiled")
-        reset_sim_caches()
-        assert dict(simulate(netlist, pats)) == packed_vals
-
-    def test_downgrade_to_interp_past_compiled_ceiling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "packed")
-        netlist = random_dag(40, n_inputs=6, n_outputs=3, seed=6)
-        monkeypatch.setattr(packed_mod, "MAX_PACKED_GATES", 5)
-        monkeypatch.setattr(packed_mod, "MAX_COMPILED_GATES", 5)
-        tracer = Tracer()
-        install_tracer(tracer)
-        try:
-            assert active_packed(netlist) is None
-        finally:
-            uninstall_tracer(tracer)
-        (event,) = [
-            s for s in tracer.roots if s.name == "sim.packed_downgrade"
-        ]
-        assert event.meta["fallback"] == "interp"
-
-    def test_packed_words_counter(self, monkeypatch):
-        netlist = ripple_carry_adder(4)
-        pats = PatternSet.random(netlist, 130, seed=9)
-        monkeypatch.setenv("REPRO_SIM", "compiled")
-        before = COUNTERS.packed_words
-        simulate(netlist, pats)
-        assert COUNTERS.packed_words == before  # compiled never packs
-        monkeypatch.setenv("REPRO_SIM", "packed")
-        reset_sim_caches()
-        before = COUNTERS.packed_words
-        simulate(netlist, pats)
-        assert COUNTERS.packed_words == before + word_count(130)
-
-    def test_specialization_threshold_transition(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "packed")
-        netlist = ripple_carry_adder(4)
-        pats = PatternSet.random(netlist, 64, seed=4)
-        mask = pats.mask
-        base = simulate(netlist, pats)
-        site = Site(sorted(netlist.gates)[3])
-        over = {site: (base[site.net] ^ mask) & mask}
-        packed = active_packed(netlist)
-        words_before = COUNTERS.packed_words
-        first = resimulate_with_overrides(netlist, base, over, mask)
-        # Below the threshold the guarded compiled path serves the call;
-        # only specialized cone passes tally packed words.
-        assert COUNTERS.packed_words == words_before
-        results = [
-            resimulate_with_overrides(netlist, base, over, mask)
-            for _ in range(3)
-        ]
-        assert all(r == first for r in results)
-        # Past the threshold a specialized kernel exists and was used.
-        assert COUNTERS.packed_words > words_before
-        cone = netlist.fanout_cone([site.net])
-        slot = packed.program.slot_of[site.net]
-        assert packed.resim_special(cone, (slot,), (), ()) is not None
+        (c_dict, c_summary), (i_dict, i_summary) = _both_backends(monkeypatch, run)
+        assert _deep_ordered(c_dict) == _deep_ordered(i_dict)
+        assert c_summary == i_summary
