@@ -370,6 +370,7 @@ def enumerate_pertest_min_covers(
     max_size: int = 3,
     max_checks: int = 4000,
     budget: Budget | None = None,
+    stats: dict[str, float] | None = None,
 ) -> list[tuple[Site, ...]]:
     """All minimum-cardinality per-test covers over a bounded pool.
 
@@ -380,15 +381,39 @@ def enumerate_pertest_min_covers(
     Only complete covers are returned; the first cardinality with any
     complete cover defines the minimum.
 
+    Before the exact check, a combination of two or more sites must pass
+    two necessary conditions, cheapest first: the union of its sites'
+    structural output reach contains every output with a non-X observed
+    failure, and X forced at all its sites at once reaches every non-X
+    failing strobe (:meth:`PerTestAnalysis.x_envelope_admits`).  Both are
+    sound -- a flip or pin only moves its fanout, and every assignment
+    refines the joint X -- so the returned covers are exactly those of
+    the unfiltered sweep.  Size-1 combinations go straight to the exact
+    check, which the single-flip sweep has already memoized.
+
     A :class:`Budget` bounds the enumeration on top of ``max_checks``:
     every combination charges one expansion, deadline/expansion exhaustion
     ends the sweep with the covers found so far, and the multiplet ceiling
     caps how many tying covers are collected (recorded as ``cover``
-    truncations).
+    truncations).  Combinations count against ``max_checks`` and the
+    budget whether or not a prefilter rejects them.
+
+    ``stats``, when given, receives ``n_cover_checks`` (combinations
+    examined; equal to ``max_checks`` when the cap cut the sweep),
+    ``n_cover_envelope_rejections`` (refuted by either prefilter) and
+    ``n_cover_verifications`` (exact checks run).
     """
-    failing = set(analysis.datalog.failing_indices)
-    if not failing:
-        return []
+    rejections = verifications = 0
+
+    def finish(covers: list[tuple[Site, ...]]) -> list[tuple[Site, ...]]:
+        if stats is not None:
+            stats["n_cover_checks"] = float(rejections + verifications)
+            stats["n_cover_envelope_rejections"] = float(rejections)
+            stats["n_cover_verifications"] = float(verifications)
+        return covers
+
+    if not analysis.datalog.failing_indices:
+        return finish([])
     # Pool priority: greedy solution, then singleton explainers by frequency,
     # then the remaining seeds (pair-rescue participants), then best partials.
     pool: list[Site] = list(seed_sites[: max(1, max_candidates // 3)])
@@ -410,18 +435,21 @@ def enumerate_pertest_min_covers(
         pool.extend(by_partial[: max_candidates - len(pool)])
     pool = pool[:max_candidates]
 
+    work_mask = analysis.work_mask
+    needed = analysis.failing_outputs()
+    reach = [analysis.output_reach(site) for site in pool]
     checks = 0
     for size in range(1, max_size + 1):
         solutions: list[tuple[Site, ...]] = []
-        for combo in combinations(pool, size):
+        for combo, reaches in zip(combinations(pool, size), combinations(reach, size)):
             checks += 1
             if checks > max_checks:
                 if budget is not None:
                     budget.record("cover", CAUSE_CHECKS, max_checks, max_checks)
-                return solutions
+                return finish(solutions)
             if budget is not None:
                 if checks > 1 and budget.stop("cover", checks - 1, max_checks):
-                    return solutions
+                    return finish(solutions)
                 if budget.multiplets_exhausted(len(solutions)):
                     budget.record(
                         "cover",
@@ -429,10 +457,18 @@ def enumerate_pertest_min_covers(
                         len(solutions),
                         budget.max_multiplets or 0,
                     )
-                    return solutions
+                    return finish(solutions)
                 budget.charge()
-            if analysis.explained_patterns(combo) == failing:
-                solutions.append(tuple(combo))
+            if size > 1:
+                reached = 0
+                for bits in reaches:
+                    reached |= bits
+                if needed & ~reached or not analysis.x_envelope_admits(combo):
+                    rejections += 1
+                    continue
+            verifications += 1
+            if analysis.explained_mask(combo) == work_mask:
+                solutions.append(combo)
         if solutions:
-            return solutions
-    return []
+            return finish(solutions)
+    return finish([])

@@ -513,6 +513,7 @@ class Diagnoser:
                     max_candidates=cfg.exact_max_candidates,
                     max_size=depth,
                     budget=budget,
+                    stats=engine_stats,
                 )
             known = {tuple(sorted(map(str, m))) for m in multiplet_sets}
             if (

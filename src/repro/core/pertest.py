@@ -40,7 +40,6 @@ from repro.circuit.netlist import Netlist, Site
 from repro.core.budget import Budget
 from repro.core.xcover import Atom
 from repro.sim.cache import SimContext, sim_context
-from repro.sim.event import changed_outputs, resimulate_with_overrides
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -75,13 +74,26 @@ def _match_vector(
     return match & pred_any
 
 
+def _ids(bits: int):
+    """Positions of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 @dataclass
 class PerTestAnalysis:
     """Single-flip effects of every candidate site plus joint-flip services.
 
     Internally all diff vectors live in *work space*: bit ``j`` refers to
     the ``j``-th failing pattern.  Public accessors take and return
-    original pattern indices.
+    original pattern indices, except :meth:`explained_mask`.
+
+    Joint queries run on *interned* sites: each site gets a bit id (the
+    analysis sites first, in order; any other site on first use), so a
+    flip/pin assignment is a pair of ints and the assignment memo never
+    hashes a :class:`Site`.
     """
 
     netlist: Netlist
@@ -94,25 +106,28 @@ class PerTestAnalysis:
     exact_singletons: dict[int, tuple[Site, ...]]
     #: per-site per-output flip diffs in work space
     flip_diff: dict[Site, dict[str, int]]
-    _work_patterns: PatternSet = None  # type: ignore[assignment]
-    _work_base: dict[str, int] = field(default_factory=dict)
+    #: shared simulation context over the failing-pattern subset; joint
+    #: resimulations route through its override-signature memo so repeated
+    #: requests (across covers, trials, stages) are simulated once
+    _ctx: SimContext
     _pos_of: dict[int, int] = field(default_factory=dict)
-    _observed_pos: dict[int, frozenset[str]] = field(default_factory=dict)
-    #: per work position, outputs whose strobe is X (quarantined/masked):
-    #: predictions there are evidence-free and excluded from exact matching
-    _x_pos: dict[int, frozenset[str]] = field(default_factory=dict)
     #: transposed evidence: output -> work-position bit vectors of observed
     #: failing (resp. X-tier) strobes, for bit-parallel exact matching
     _obs_vec: dict[str, int] = field(default_factory=dict)
     _x_vec: dict[str, int] = field(default_factory=dict)
-    #: (flips, pins) -> per-output work-space diff cache
-    _joint_cache: dict[
-        tuple[frozenset[Site], frozenset[Site]], dict[str, int]
-    ] = field(default_factory=dict)
-    #: shared simulation context over the failing-pattern subset; joint
-    #: resimulations route through its override-signature memo so repeated
-    #: requests (across covers, trials, stages) are simulated once
-    _ctx: SimContext | None = None
+    #: interned sites: site -> bit id, and bit id -> site
+    _site_id: dict[Site, int] = field(default_factory=dict)
+    _id_site: list[Site] = field(default_factory=list)
+    #: (flip bits, kept pin bits) -> (per-output work-space diff, match
+    #: vector); requested (flip bits, pin bits) keys alias their entry
+    _memo: dict[tuple[int, int], tuple[dict[str, int], int]] = field(
+        default_factory=dict
+    )
+
+    @property
+    def work_mask(self) -> int:
+        """Work-space mask: one bit per failing pattern."""
+        return self._ctx.mask
 
     # -- single-site queries ---------------------------------------------------
 
@@ -131,48 +146,93 @@ class PerTestAnalysis:
     def exact_match(self, site: Site, pattern_index: int) -> bool:
         return site in self.exact_singletons.get(pattern_index, ())
 
+    # -- interned assignments ----------------------------------------------------
+
+    def _bit(self, site: Site) -> int:
+        """The interned bit of ``site`` (interning it on first use)."""
+        sid = self._site_id.get(site)
+        if sid is None:
+            sid = self._site_id[site] = len(self._id_site)
+            self._id_site.append(site)
+        return 1 << sid
+
+    def _assignment(
+        self, flip_bits: int, pin_bits: int
+    ) -> tuple[dict[str, int], int]:
+        """Memoized (diff, match vector) of flipping ``flip_bits`` and
+        pinning ``pin_bits`` (disjoint interned bit sets).
+
+        Pinned sites are overridden at their fault-free values, modeling a
+        defect site that agrees with the healthy value but still dominates
+        its node (blocking propagation from other defects).  A pin outside
+        the flips' combined stem fanout cone can never be disturbed and is
+        dropped, which normalizes the key -- the reuse this buys across
+        multiplet-enumeration combos is what keeps exact enumeration
+        tractable.  The requested key is memoized too, so a repeated
+        request skips the normalization.
+        """
+        entry = self._memo.get((flip_bits, pin_bits))
+        if entry is not None:
+            return entry
+        sites = self._id_site
+        kept = pin_bits
+        if pin_bits and flip_bits:
+            cone = self.netlist.fanout_cone(sites[sid].net for sid in _ids(flip_bits))
+            for sid in _ids(pin_bits):
+                if sites[sid].net not in cone:
+                    kept ^= 1 << sid
+        entry = self._memo.get((flip_bits, kept))
+        if entry is None:
+            diff: dict[str, int] = {}
+            if flip_bits:
+                mask = self.work_mask
+                base = self._ctx.base
+                overrides = {}
+                for sid in _ids(flip_bits):
+                    site = sites[sid]
+                    overrides[site] = (base[site.net] ^ mask) & mask
+                for sid in _ids(kept):
+                    site = sites[sid]
+                    overrides[site] = base[site.net]
+                diff = self._ctx.resim_diff(overrides)
+            match = _match_vector(diff, self._obs_vec, self._x_vec, self.work_mask)
+            entry = (diff, match)
+            self._memo[(flip_bits, kept)] = entry
+        self._memo[(flip_bits, pin_bits)] = entry
+        return entry
+
+    def _explained(self, bits: Sequence[int], wanted: int) -> int:
+        """Positions of ``wanted`` explained by some flip/pin assignment of
+        the distinct interned ``bits``.
+
+        Enumerates flip sets by increasing size with the remaining sites
+        pinned, stopping once every wanted position is explained.
+        """
+        everything = sum(bits)
+        remaining = wanted
+        for size in range(1, len(bits) + 1):
+            for flips in combinations(bits, size):
+                flip_bits = sum(flips)
+                remaining &= ~self._assignment(flip_bits, everything ^ flip_bits)[1]
+                if not remaining:
+                    return wanted
+        return wanted & ~remaining
+
     # -- joint queries ---------------------------------------------------------------
 
     def assignment_diff(
         self, flips: Iterable[Site], pins: Iterable[Site] = ()
     ) -> dict[str, int]:
-        """Work-space per-output diff of flipping ``flips`` / pinning ``pins``.
-
-        Pinned sites are overridden at their fault-free values, modeling a
-        defect site that agrees with the healthy value but still dominates
-        its node (blocking propagation from other defects).  A pin outside
-        the flips' combined fanout cone can never be disturbed and is
-        dropped, which normalizes the cache key -- the reuse this buys
-        across multiplet-enumeration combos is what keeps exact
-        enumeration tractable.  Cached by the normalized (flips, pins).
-        """
-        flip_key = frozenset(flips)
-        pin_key = frozenset(pins) - flip_key
-        if pin_key and flip_key:
-            affected = self.netlist.fanout_cone(site.net for site in flip_key)
-            pin_key = frozenset(s for s in pin_key if s.net in affected)
-        key = (flip_key, pin_key)
-        cached = self._joint_cache.get(key)
-        if cached is not None:
-            return cached
-        if not flip_key:
-            result: dict[str, int] = {}
-        else:
-            mask = self._work_patterns.mask
-            overrides = {
-                site: (self._work_base[site.net] ^ mask) & mask for site in flip_key
-            }
-            for site in pin_key:
-                overrides[site] = self._work_base[site.net]
-            if self._ctx is not None:
-                result = self._ctx.resim_diff(overrides)
-            else:
-                changed = resimulate_with_overrides(
-                    self.netlist, self._work_base, overrides, mask
-                )
-                result = changed_outputs(self.netlist, changed, self._work_base, mask)
-        self._joint_cache[key] = result
-        return result
+        """Work-space per-output diff of flipping ``flips`` / pinning ``pins``
+        (pins that are also flipped count as flips).  The returned dict is
+        shared -- callers must not mutate it."""
+        flip_bits = 0
+        for site in flips:
+            flip_bits |= self._bit(site)
+        pin_bits = 0
+        for site in pins:
+            pin_bits |= self._bit(site)
+        return self._assignment(flip_bits, pin_bits & ~flip_bits)[0]
 
     def joint_flip_diff(self, sites: Iterable[Site]) -> dict[str, int]:
         """Work-space per-output diff of flipping all ``sites`` (no pins)."""
@@ -185,52 +245,68 @@ class PerTestAnalysis:
         strobes of the pattern carry no evidence, so predicted flips
         there neither help nor disqualify a match.
         """
-        bit = 1 << self._pos_of[pattern_index]
-        work_mask = self._work_patterns.mask
-        sites = list(dict.fromkeys(subset))
-        for r in range(1, len(sites) + 1):
-            for flips in combinations(sites, r):
-                diff = self.assignment_diff(flips, sites)
-                if _match_vector(diff, self._obs_vec, self._x_vec, work_mask) & bit:
-                    return True
-        return False
+        bits = [self._bit(site) for site in dict.fromkeys(subset)]
+        return bool(self._explained(bits, 1 << self._pos_of[pattern_index]))
 
-    def explained_patterns(
-        self, multiplet: Sequence[Site], max_flips: int | None = None
-    ) -> set[int]:
-        """Failing patterns (original indices) explained by some flip/pin
-        assignment of the multiplet.
+    def explained_mask(self, multiplet: Iterable[Site]) -> int:
+        """Work-space mask of the failing patterns explained by some
+        flip/pin assignment of the multiplet (bit ``j`` = ``j``-th failing
+        pattern).
 
-        Enumerates flip sets by increasing size with the remaining sites
-        pinned; each assignment costs one bit-parallel resimulation over
-        the failing patterns, cached across calls.
+        Each assignment costs one bit-parallel resimulation over the
+        failing patterns, memoized across calls.
         """
-        sites = list(dict.fromkeys(multiplet))
-        limit = len(sites) if max_flips is None else min(max_flips, len(sites))
-        work_mask = self._work_patterns.mask
-        remaining = work_mask
-        explained: set[int] = set()
-        failing = self.datalog.failing_indices
-        for size in range(1, limit + 1):
-            if not remaining:
-                break
-            for flips in combinations(sites, size):
-                if not remaining:
-                    break
-                diff = self.assignment_diff(flips, sites)
-                hits = (
-                    _match_vector(diff, self._obs_vec, self._x_vec, work_mask)
-                    & remaining
-                )
-                remaining &= ~hits
-                while hits:
-                    low = hits & -hits
-                    explained.add(failing[low.bit_length() - 1])
-                    hits ^= low
-        return explained
+        bits = [self._bit(site) for site in dict.fromkeys(multiplet)]
+        return self._explained(bits, self.work_mask)
 
-    def explains_all(self, multiplet: Sequence[Site]) -> bool:
-        return self.explained_patterns(multiplet) == set(self.datalog.failing_indices)
+    def explained_patterns(self, multiplet: Iterable[Site]) -> set[int]:
+        """Failing patterns (original indices) explained by some flip/pin
+        assignment of the multiplet."""
+        failing = self.datalog.failing_indices
+        return {failing[pos] for pos in _ids(self.explained_mask(multiplet))}
+
+    def explains_all(self, multiplet: Iterable[Site]) -> bool:
+        return self.explained_mask(multiplet) == self.work_mask
+
+    # -- necessary conditions (sound prefilters of the exact check) ---------------
+
+    def output_reach(self, site: Site) -> int:
+        """Bits (over ``netlist.outputs``) of the outputs structurally
+        downstream of ``site``: the only outputs any assignment involving
+        it can change."""
+        root = site.net if site.branch is None else site.branch[0]
+        cone = self.netlist.fanout_cone((root,))
+        bits = 0
+        for pos, out in enumerate(self.netlist.outputs):
+            if out in cone:
+                bits |= 1 << pos
+        return bits
+
+    def failing_outputs(self) -> int:
+        """Bits (over ``netlist.outputs``) of the outputs with an observed
+        failure on a non-X strobe: a complete cover must reach each one."""
+        x_vec = self._x_vec
+        bits = 0
+        for pos, out in enumerate(self.netlist.outputs):
+            if self._obs_vec.get(out, 0) & ~x_vec.get(out, 0):
+                bits |= 1 << pos
+        return bits
+
+    def x_envelope_admits(self, sites: Iterable[Site]) -> bool:
+        """Whether X forced at every site jointly reaches every observed
+        non-X failing strobe.
+
+        Every flip/pin assignment of the sites refines that X injection
+        (X-monotonicity), so a strobe the joint X cannot reach keeps its
+        fault-free value under all of them and no assignment explains its
+        pattern: ``False`` refutes the multiplet as a complete cover.
+        """
+        reach = self._ctx.joint_x_reach(sites)
+        x_vec = self._x_vec
+        for out, obs in self._obs_vec.items():
+            if obs & ~x_vec.get(out, 0) & ~reach.get(out, 0):
+                return False
+        return True
 
 
 def build_pertest(
@@ -255,16 +331,7 @@ def build_pertest(
     failing = datalog.failing_indices
     work = patterns.subset(list(failing))
     ctx = sim_context(netlist, work)
-    work_base = ctx.base
     pos_of = {idx: pos for pos, idx in enumerate(failing)}
-    observed_pos = {
-        pos: datalog.failing_outputs_of(idx) for pos, idx in enumerate(failing)
-    }
-    x_pos = {
-        pos: datalog.x_outputs_of(idx)
-        for pos, idx in enumerate(failing)
-        if datalog.x_outputs_of(idx)
-    }
     atoms = frozenset(datalog.fail_atoms())
     # Transposed work-space evidence comes packed straight from the
     # datalog (built once per datalog, shared across analyses and stages)
@@ -278,8 +345,10 @@ def build_pertest(
     flip_diff: dict[Site, dict[str, int]] = {}
     site_atoms: dict[Site, frozenset[Atom]] = {}
     exact: dict[int, list[Site]] = {idx: [] for idx in failing}
-    #: flip-response signature -> (first site seen, patterns it matched)
-    sig_seen: dict[tuple, tuple[Site, tuple[int, ...]]] = {}
+    #: site -> work positions its lone flip reproduces exactly
+    match_of: dict[Site, int] = {}
+    #: flip-response signature -> first site seen with it
+    sig_seen: dict[tuple, Site] = {}
     sites = list(sites)
     for done, site in enumerate(sites):
         if (
@@ -301,29 +370,22 @@ def build_pertest(
         # instead of re-walking the failing patterns.
         signature = tuple(sorted(diff.items()))
         twin = sig_seen.get(signature)
-        if twin is not None:
-            twin_site, matched = twin
-            site_atoms[site] = site_atoms[twin_site]
-            for idx in matched:
-                exact[idx].append(site)
-            continue
-        covered: set[Atom] = set()
-        matched_here: list[int] = []
-        hits = _match_vector(diff, obs_vec, x_vec, work.mask)
-        while hits:
-            low = hits & -hits
-            idx = failing[low.bit_length() - 1]
-            exact[idx].append(site)
-            matched_here.append(idx)
-            hits ^= low
-        for out, vec in diff.items():
-            reproduced = vec & obs_vec.get(out, 0) & ~x_vec.get(out, 0)
-            while reproduced:
-                low = reproduced & -reproduced
-                covered.add((failing[low.bit_length() - 1], out))
-                reproduced ^= low
-        site_atoms[site] = frozenset(covered)
-        sig_seen[signature] = (site, tuple(matched_here))
+        if twin is None:
+            sig_seen[signature] = site
+            match_of[site] = _match_vector(diff, obs_vec, x_vec, work.mask)
+            covered: set[Atom] = set()
+            for out, vec in diff.items():
+                reproduced = vec & obs_vec.get(out, 0) & ~x_vec.get(out, 0)
+                while reproduced:
+                    low = reproduced & -reproduced
+                    covered.add((failing[low.bit_length() - 1], out))
+                    reproduced ^= low
+            site_atoms[site] = frozenset(covered)
+        else:
+            site_atoms[site] = site_atoms[twin]
+            match_of[site] = match_of[twin]
+        for pos in _ids(match_of[site]):
+            exact[failing[pos]].append(site)
 
     analysis = PerTestAnalysis(
         netlist=netlist,
@@ -334,17 +396,15 @@ def build_pertest(
         site_atoms=site_atoms,
         exact_singletons={idx: tuple(v) for idx, v in exact.items()},
         flip_diff=flip_diff,
-        _work_patterns=work,
-        _work_base=work_base,
+        _ctx=ctx,
         _pos_of=pos_of,
-        _observed_pos=observed_pos,
-        _x_pos=x_pos,
         _obs_vec=obs_vec,
         _x_vec=x_vec,
-        _ctx=ctx,
     )
+    # Intern the analysis sites in order and seed the assignment memo with
+    # the single flips just computed: every size-1 check is then a hit.
     for site in sites:
-        analysis._joint_cache[(frozenset((site,)), frozenset())] = flip_diff[site]
+        analysis._memo[(analysis._bit(site), 0)] = (flip_diff[site], match_of[site])
     return analysis
 
 

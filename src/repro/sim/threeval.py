@@ -18,9 +18,9 @@ original override objects, exactly like the interpreted path.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from repro.circuit.gates import TV, eval3, tv_all_x, tv_const, tv_xmask
+from repro.circuit.gates import TV, GateKind, eval3, tv_all_x, tv_const, tv_xmask
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
 from repro.sim.compile import COUNTERS, active_kernels, lifted_base
@@ -144,61 +144,117 @@ def x_injection_reach(
     cone restriction is what makes per-site X analysis cheap enough to run
     for every candidate site of every failing pattern.
     """
-    netlist.validate_site(site)
+    return _x_reach(netlist, patterns, (site,), base_values, joint=False)
+
+
+def joint_x_injection_reach(
+    netlist: Netlist,
+    patterns: PatternSet,
+    sites: Iterable[Site],
+    base_values: Mapping[str, int] | None = None,
+) -> dict[str, int]:
+    """Per-output X reach of forcing ``X`` at every site of ``sites`` at once.
+
+    The multi-site form of :func:`x_injection_reach`: one cone-restricted
+    three-valued pass over the union of the sites' fanout cones (a stem
+    roots its cone at its net, a branch at the gate it feeds).  Every
+    flip/pin assignment of the sites is a binary refinement of this
+    injection, so an output bit that stays binary here keeps its
+    fault-free value under all of them.
+    """
+    return _x_reach(netlist, patterns, sites, base_values, joint=True)
+
+
+#: Gate kinds whose output is X whenever any input is X.
+_X_TRANSPARENT = frozenset({GateKind.BUF, GateKind.NOT, GateKind.XOR, GateKind.XNOR})
+
+
+def x_injection_root(netlist: Netlist, site: Site) -> Site:
+    """The canonical site whose X injection equals X at ``site``.
+
+    X at a stem that is not a primary output and feeds a single pin is X
+    at that pin; X at any pin of a BUF, NOT, XOR or XNOR gate makes the
+    gate's output X on every pattern, which is X at the gate's stem.
+    Following both rules to a fixpoint maps X-equivalent sites -- e.g. the
+    stems and branches along a buffer chain -- to one representative, in
+    any context of other injected sites.
+    """
+    while True:
+        if site.branch is None:
+            fanout = netlist.fanout(site.net)
+            if len(fanout) != 1 or site.net in netlist.outputs:
+                return site
+            site = Site(site.net, fanout[0])
+        elif netlist.gates[site.branch[0]].kind in _X_TRANSPARENT:
+            site = Site(site.branch[0])
+        else:
+            return site
+
+
+def _x_reach(
+    netlist: Netlist,
+    patterns: PatternSet,
+    sites: Iterable[Site],
+    base_values: Mapping[str, int] | None,
+    joint: bool,
+) -> dict[str, int]:
+    """X reach of ``sites`` forced X together.
+
+    Joint queries always run the stem+pin kernel, even for stems only, so
+    a cold run that asks only joint questions compiles one kernel variant
+    for them, not two.
+    """
+    stems: set[str] = set()
+    pins: set[tuple[str, int]] = set()
+    for site in sites:
+        netlist.validate_site(site)
+        if site.branch is None:
+            stems.add(site.net)
+        else:
+            pins.add(site.branch)
     if base_values is None:
         base_values = simulate(netlist, patterns)
     mask = patterns.mask
-
-    if site.is_stem:
-        cone = netlist.fanout_cone([site.net])
-        entry_net = site.net
-        pin_target: tuple[str, int] | None = None
-    else:
-        gate_name, pin = site.branch
-        cone = netlist.fanout_cone([gate_name])
-        entry_net = gate_name
-        pin_target = (gate_name, pin)
+    cone = netlist.fanout_cone([*stems, *(gate for gate, _pin in pins)])
     COUNTERS.cone3_passes += 1
     COUNTERS.gate_evals += len(cone)
 
     kernels = active_kernels(netlist)
     if kernels is None:
-        return _x_reach_interp(
-            netlist, base_values, cone, entry_net, pin_target, mask
-        )
-
-    program = kernels.program
-    base_on, base_zr = lifted_base(program, base_values, mask)
-    ones = base_on.copy()
-    zeros = base_zr.copy()
-    cone_set, _ = kernels.cone_slots(cone)
-    slot_of = program.slot_of
-    so: dict[int, int] = {}
-    sz: dict[int, int] = {}
-    if pin_target is None:
-        slot = slot_of[entry_net]
-        if slot < program.n_inputs:
-            ones[slot] = mask
-            zeros[slot] = mask
-        else:
-            so[slot] = mask
-            sz[slot] = mask
-        kernels.fn("cone3_s")(ones, zeros, mask, cone_set, so, sz)
+        reach = _x_reach_interp(netlist, base_values, cone, stems, pins, mask)
     else:
-        key = slot_of[entry_net] * program.stride + pin_target[1]
-        kernels.fn("cone3_sp")(
-            ones, zeros, mask, cone_set, so, sz, {key: mask}, {key: mask}
-        )
-
-    reach: dict[str, int] = {}
-    for out_net in netlist.outputs:
-        slot = slot_of[out_net]
-        xm = ones[slot] & zeros[slot]
-        if xm:
-            reach[out_net] = xm
-    # A primary output that *is* the injected stem is trivially corrupted.
-    if pin_target is None and entry_net in netlist.outputs:
-        reach[entry_net] = mask
+        program = kernels.program
+        base_on, base_zr = lifted_base(program, base_values, mask)
+        ones = base_on.copy()
+        zeros = base_zr.copy()
+        cone_set, _ = kernels.cone_slots(cone)
+        slot_of = program.slot_of
+        so: dict[int, int] = {}
+        sz: dict[int, int] = {}
+        for net in stems:
+            slot = slot_of[net]
+            if slot < program.n_inputs:
+                ones[slot] = mask
+                zeros[slot] = mask
+            else:
+                so[slot] = mask
+                sz[slot] = mask
+        if pins or joint:
+            stride = program.stride
+            px = {slot_of[gate] * stride + pin: mask for gate, pin in pins}
+            kernels.fn("cone3_sp")(ones, zeros, mask, cone_set, so, sz, px, px)
+        else:
+            kernels.fn("cone3_s")(ones, zeros, mask, cone_set, so, sz)
+        reach = {}
+        for out_net in netlist.outputs:
+            slot = slot_of[out_net]
+            xm = ones[slot] & zeros[slot]
+            if xm:
+                reach[out_net] = xm
+    # A primary output that *is* an injected stem is trivially corrupted.
+    for net in stems:
+        if net in netlist.outputs:
+            reach[net] = mask
     return reach
 
 
@@ -206,8 +262,8 @@ def _x_reach_interp(
     netlist: Netlist,
     base_values: Mapping[str, int],
     cone: frozenset[str],
-    entry_net: str,
-    pin_target: tuple[str, int] | None,
+    stems: set[str],
+    pins: set[tuple[str, int]],
     mask: int,
 ) -> dict[str, int]:
     """Interpreted reference walk (differential oracle for the kernels)."""
@@ -220,18 +276,19 @@ def _x_reach_interp(
             tv = tv_const(base_values[net], mask)
         return tv
 
-    if pin_target is None and netlist.is_input(entry_net):
-        values3[entry_net] = all_x
+    for net in stems:
+        if netlist.is_input(net):
+            values3[net] = all_x
 
     for net in netlist.topo_order:
         if net not in cone:
             continue
-        if pin_target is None and net == entry_net:
+        if net in stems:
             values3[net] = all_x
             continue
         gate = netlist.gates[net]
         ins = [
-            all_x if pin_target == (net, pin_idx) else read(src)
+            all_x if (net, pin_idx) in pins else read(src)
             for pin_idx, src in enumerate(gate.inputs)
         ]
         values3[net] = eval3(gate.kind, ins, mask)
@@ -244,7 +301,4 @@ def _x_reach_interp(
         xm = tv_xmask(tv) & mask
         if xm:
             reach[out_net] = xm
-    # A primary output that *is* the injected stem is trivially corrupted.
-    if pin_target is None and entry_net in netlist.outputs:
-        reach[entry_net] = mask
     return reach

@@ -263,6 +263,53 @@ class TestDifferential:
         compiled, interp = _both_backends(monkeypatch, run)
         assert compiled == interp
 
+    @pytest.mark.parametrize("circuit", ["rnd0", "rnd1", "rnd2", "rnd3", "rca4", "alu4"])
+    def test_joint_x_reach_matches_full_simulate3(self, monkeypatch, circuit):
+        """Joint X reach equals a full three-valued pass with X forced at
+        every site, on every output, under both backends with identical
+        counters: stems, branches, primary-input stems, primary-output
+        stems and mixed stem+branch sets, including X-equivalent sites
+        (single-fanout stems, BUF/NOT/XOR/XNOR pins) that share a memo
+        entry."""
+        if circuit == "rca4":
+            n = ripple_carry_adder(4)
+        elif circuit == "alu4":
+            n = alu(4)
+        else:
+            n = _random_netlist(int(circuit[3:]))
+        pats = PatternSet.random(n, 13, seed=5)
+        rng = random.Random(circuit)
+        gate_stems = [Site(net) for net in n.topo_order if net not in n.outputs]
+        branches = [
+            Site(net, (gate, pin)) for net in n.nets() for gate, pin in n.fanout(net)
+        ]
+        own_branch = branches[0]
+        every_site = [Site(net) for net in n.nets()] + branches
+        site_sets = [
+            rng.sample(gate_stems, 3),
+            rng.sample(branches, 2),
+            [Site(net) for net in rng.sample(n.inputs, 2)],
+            [Site(net) for net in rng.sample(n.outputs, 2)],
+            rng.sample(gate_stems, 2) + rng.sample(branches, 2),
+            [Site(own_branch.net), own_branch],
+            [Site(n.inputs[0]), Site(n.outputs[-1]), rng.choice(branches)],
+        ] + [rng.sample(every_site, rng.randint(1, 4)) for _ in range(60)]
+
+        def run():
+            ctx = sim_context(n, pats)
+            return [ctx.joint_x_reach(sites) for sites in site_sets]
+
+        compiled, interp = _both_backends(monkeypatch, run)
+        assert _deep_ordered(compiled) == _deep_ordered(interp)
+        all_x = tv_all_x(pats.mask)
+        for sites, reach in zip(site_sets, compiled):
+            full = simulate3(n, pats, {site: all_x for site in sites})
+            for out in n.outputs:
+                assert reach.get(out, 0) == tv_xmask(full[out]) & pats.mask, (
+                    sites,
+                    out,
+                )
+
     @pytest.mark.parametrize("n", WIDTHS)
     @pytest.mark.parametrize("seed", range(3))
     def test_scenario_matches_interp(self, monkeypatch, seed, n):

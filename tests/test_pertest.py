@@ -72,7 +72,8 @@ class TestJointFlip:
         d1 = analysis.joint_flip_diff((a, b))
         d2 = analysis.joint_flip_diff((b, a))
         assert d1 == d2
-        assert (frozenset((a, b)), frozenset()) in analysis._joint_cache
+        flip_bits = analysis._bit(a) | analysis._bit(b)
+        assert analysis._memo[(flip_bits, 0)][0] is d1
 
     def test_empty_subset(self, rca6, pats):
         defects = [StuckAtDefect(Site("b2"), 1)]

@@ -206,11 +206,22 @@ class TestKillMidJob:
         assert reference["state"] == "done"
         assert reference_daemon.sigterm_and_wait() == 0
 
+        # The victim's worker wedges for 30 s on its first job, so the kill
+        # lands inside the running job however fast the diagnosis is.
         store = tmp_path / "victim.jsonl"
-        victim = spawn(store=store, fsync=True).wait_ready()
+        victim = spawn(
+            "--chaos", "wedge@executor.job:1:30s", store=store, fsync=True
+        ).wait_ready()
         job_id = victim.submit(datalog, circuit="alu8")
         assert job_id == ref_id  # same spec, same fingerprint, same id
-        time.sleep(0.35)  # land inside the multi-second diagnosis
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            status, raw = victim.request("GET", f"/jobs/{job_id}")
+            if json.loads(raw)["state"] == "running":
+                break
+            time.sleep(0.05)
+        else:
+            raise AssertionError("job never started running")
         victim.kill9()
 
         revived = spawn(store=store, fsync=True).wait_ready(timeout=60)
