@@ -15,9 +15,7 @@ once and memoizes:
   the *behavioral* signature ``frozenset((site, value), ...)``, so any two
   stages (or two fault models) requesting the same injected behavior share
   one simulation,
-- X reach: site -> per-output X-corruption vectors,
-- joint X reach: set of X-equivalence roots -> per-output X-corruption
-  vectors of forcing X at all of them at once.
+- X reach: site -> per-output X-corruption vectors.
 
 Contexts are registered in a bounded LRU keyed by *content* fingerprints
 (netlist hash, pattern-set hash), so campaign trials that share a circuit
@@ -41,11 +39,7 @@ from repro.sim.compile import COUNTERS, active_kernels, base_slots, reset_kernel
 from repro.sim.event import resim_output_diff
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
-from repro.sim.threeval import (
-    joint_x_injection_reach,
-    x_injection_reach,
-    x_injection_root,
-)
+from repro.sim.threeval import joint_x_injection_reach, x_injection_reach
 
 #: Registry capacity: a campaign trial touches at most a handful of
 #: contexts (full pattern set + the failing-subset of each engine).
@@ -67,8 +61,6 @@ class SimContext:
         "_flip",
         "_resim",
         "_xreach",
-        "_joint_xreach",
-        "_x_root",
         "_kernels",
         "_base_slots",
         "_out_pairs",
@@ -83,8 +75,6 @@ class SimContext:
         self._flip: dict[Site, dict[str, int]] = {}
         self._resim: dict[frozenset, dict[str, int]] = {}
         self._xreach: dict[Site, dict[str, int]] = {}
-        self._joint_xreach: dict[frozenset[Site], dict[str, int]] = {}
-        self._x_root: dict[Site, Site] = {}
         # The backend is captured once per context: the memo tables are
         # engine-agnostic (both backends are differentially identical), so
         # re-reading ``REPRO_SIM`` on every query would only buy dispatch
@@ -216,31 +206,9 @@ class SimContext:
         in one cone-restricted pass (see
         :func:`~repro.sim.threeval.joint_x_injection_reach`).
 
-        Memoized on the set of the sites' X-equivalence roots
-        (:func:`~repro.sim.threeval.x_injection_root`), so site sets that
-        differ only by X-equivalent sites -- the tying alternatives a cover
-        enumeration sweeps -- share one pass.  The returned dict is shared
-        -- callers must not mutate it.
+        Not memoized: a cover enumeration asks about each site set once.
         """
-        roots = self._x_root
-        key_sites = []
-        for site in sites:
-            root = roots.get(site)
-            if root is None:
-                self.netlist.validate_site(site)
-                root = roots[site] = x_injection_root(self.netlist, site)
-            key_sites.append(root)
-        key = frozenset(key_sites)
-        reach = self._joint_xreach.get(key)
-        if reach is not None:
-            COUNTERS.xreach_hits += 1
-            return reach
-        COUNTERS.xreach_misses += 1
-        reach = joint_x_injection_reach(self.netlist, self.patterns, key, self.base)
-        if len(self._joint_xreach) >= MAX_MEMO_ENTRIES:
-            self._joint_xreach.clear()
-        self._joint_xreach[key] = reach
-        return reach
+        return joint_x_injection_reach(self.netlist, self.patterns, sites, self.base)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.circuit.gates import TV, GateKind, eval3, tv_all_x, tv_const, tv_xmask
+from repro.circuit.gates import TV, eval3, tv_all_x, tv_const, tv_xmask
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
 from repro.sim.compile import COUNTERS, active_kernels, lifted_base
@@ -163,32 +163,6 @@ def joint_x_injection_reach(
     fault-free value under all of them.
     """
     return _x_reach(netlist, patterns, sites, base_values, joint=True)
-
-
-#: Gate kinds whose output is X whenever any input is X.
-_X_TRANSPARENT = frozenset({GateKind.BUF, GateKind.NOT, GateKind.XOR, GateKind.XNOR})
-
-
-def x_injection_root(netlist: Netlist, site: Site) -> Site:
-    """The canonical site whose X injection equals X at ``site``.
-
-    X at a stem that is not a primary output and feeds a single pin is X
-    at that pin; X at any pin of a BUF, NOT, XOR or XNOR gate makes the
-    gate's output X on every pattern, which is X at the gate's stem.
-    Following both rules to a fixpoint maps X-equivalent sites -- e.g. the
-    stems and branches along a buffer chain -- to one representative, in
-    any context of other injected sites.
-    """
-    while True:
-        if site.branch is None:
-            fanout = netlist.fanout(site.net)
-            if len(fanout) != 1 or site.net in netlist.outputs:
-                return site
-            site = Site(site.net, fanout[0])
-        elif netlist.gates[site.branch[0]].kind in _X_TRANSPARENT:
-            site = Site(site.branch[0])
-        else:
-            return site
 
 
 def _x_reach(
