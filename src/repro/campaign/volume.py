@@ -62,10 +62,6 @@ class VolumeAggregate:
         """(fault model, dice) sorted by frequency -- the process Pareto."""
         return self.mechanism_counts.most_common()
 
-    def hot_nets(self, top_k: int = 10) -> list[tuple[str, int]]:
-        """Nets most frequently accused across the population."""
-        return self.net_counts.most_common(top_k)
-
     def systematic_scores(self, n_sites: int) -> dict[str, float]:
         """Binomial surprise per net: -log10 P[X >= observed] under the
         null hypothesis that accusations spread uniformly over ``n_sites``

@@ -7,15 +7,16 @@ into per-defect groups before any covering runs.  Here the hyperedges are
 candidate sites: each failing pattern's **feature set** is the sites that
 could explain it -- its exact singleton explainers when it has any, else
 every candidate site inside the fan-in cone of its failing outputs (the
-same sound conflict set the hitting-set engine prunes with).  The
+same structural pool the hitting-set engine draws from).  The
 test distance is the Jaccard distance between feature sets, and
 single-linkage union-find merges patterns closer than ``link_threshold``
 (the default merges on *any* shared feature site, which keeps a defect's
 directly-explained and interaction-masked patterns in one group).
 
 Each cluster then gets its own small implicit-hitting-set cover
-(:func:`repro.core.hitting.hitting_set_cover` restricted to the cluster's
-patterns), turning one large multiplet search into several small ones.
+(:func:`repro.core.hitting.hitting_set_cover` with the minimum-cover
+sweep's wanted patterns set to the cluster), turning one large multiplet
+search into several small ones.
 The per-cluster covers are joined, redundancy-minimized, and **jointly
 verified** against the full failing set with the exact per-test criterion
 -- clustering is a heuristic decomposition, so a join that fails joint
@@ -42,6 +43,7 @@ from repro.core.budget import (
     OPTIMALITY_OPTIMAL,
     Budget,
 )
+from repro.core.cover import CoverSweep
 from repro.core.hitting import HittingSetResult, hitting_set_cover
 from repro.core.pertest import PerTestAnalysis
 
@@ -53,7 +55,7 @@ class ClusterDiagResult:
     ``clusters`` are the failing-pattern groups (original indices, sorted);
     ``covers`` the verified joined multiplets (best first); ``per_cluster``
     the underlying hitting-set results in cluster order.  ``fallback``
-    flags that joint verification failed and a global search re-ran.
+    is the global search that re-ran when joint verification failed.
     """
 
     clusters: tuple[tuple[int, ...], ...]
@@ -61,11 +63,17 @@ class ClusterDiagResult:
     per_cluster: tuple[HittingSetResult, ...]
     optimality: str
     unexplained: frozenset[int]
-    fallback: bool = False
+    fallback: HittingSetResult | None = None
 
     @property
     def complete(self) -> bool:
         return bool(self.covers) and not self.unexplained
+
+    @property
+    def sweeps(self) -> tuple[CoverSweep, ...]:
+        """Every minimum-cover sweep run: per cluster, then the fallback."""
+        runs = self.per_cluster + ((self.fallback,) if self.fallback else ())
+        return tuple(run.sweep for run in runs)
 
 
 def pattern_features(analysis: PerTestAnalysis, pattern_index: int) -> frozenset[Site]:
@@ -249,7 +257,7 @@ def cluster_cover(
             per_cluster=tuple(per),
             optimality=fallback.optimality,
             unexplained=unexplained,
-            fallback=True,
+            fallback=fallback,
         )
 
     return ClusterDiagResult(

@@ -14,15 +14,22 @@ which the monotonicity of joint X reach makes sound.
 For small instances :func:`enumerate_min_covers` exhaustively finds all
 minimum-cardinality covers; it is the optimality reference of ablation B
 and the resolution statistic of the small-circuit experiments.
+
+Under the exact per-test criterion, :func:`sweep_min_covers` is the one
+minimum-cover search: the default enumeration
+(:func:`enumerate_pertest_min_covers`), the implicit-hitting-set engine
+and the clustered engine differ only in the pool, the failing patterns
+wanted and the caps they hand it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from repro.circuit.netlist import Site
-from repro.core.budget import CAUSE_CHECKS, Budget
+from repro.core.budget import CAUSE_CHECKS, CAUSE_MULTIPLETS, Budget
 from repro.core.pertest import PerTestAnalysis, pair_search
 from repro.core.xcover import Atom, XCoverAnalysis
 
@@ -363,6 +370,124 @@ def greedy_pertest_cover(
     )
 
 
+@dataclass(frozen=True)
+class CoverSweep:
+    """Outcome of one minimum-cover sweep (:func:`sweep_min_covers`).
+
+    ``covers`` are the complete covers of the first cardinality that has
+    any, in combination order (a prefix of them when the sweep was cut).
+    ``stopped`` is ``None`` for a finished sweep, else the cause that cut
+    it: a budget cause, ``checks`` or ``multiplets``.  Every combination
+    examined was either rejected by a prefilter or exactly verified.
+    """
+
+    covers: tuple[tuple[Site, ...], ...] = ()
+    stopped: str | None = None
+    rejections: int = 0
+    verifications: int = 0
+
+
+def cover_stats(*sweeps: CoverSweep) -> dict[str, float]:
+    """The report's ``n_cover_*`` stats, summed over ``sweeps``:
+    combinations examined, refuted by a prefilter, exactly verified."""
+    rejections = sum(s.rejections for s in sweeps)
+    verifications = sum(s.verifications for s in sweeps)
+    return {
+        "n_cover_checks": float(rejections + verifications),
+        "n_cover_envelope_rejections": float(rejections),
+        "n_cover_verifications": float(verifications),
+    }
+
+
+def sweep_min_covers(
+    analysis: PerTestAnalysis,
+    pool: Sequence[Site],
+    max_size: int,
+    wanted: int | None = None,
+    max_checks: int = 4000,
+    max_simulations: int | None = None,
+    budget: Budget | None = None,
+) -> CoverSweep:
+    """All minimum-cardinality covers of ``wanted`` over ``pool``.
+
+    The one minimum-cover search over a :class:`PerTestAnalysis`: grow
+    combinations of the ranked pool in increasing cardinality and keep
+    every combination whose exact flip/pin check explains each ``wanted``
+    failing pattern (a work-space mask; default all of them), stopping at
+    the first cardinality that has one.
+
+    Before the exact check, a combination of two or more sites must pass
+    two necessary conditions, cheapest first: the union of its sites'
+    structural output reach contains every output with a non-X observed
+    failure on a wanted pattern, and X forced at all its sites at once
+    reaches every such strobe (:meth:`PerTestAnalysis.x_envelope_admits`).
+    Both are sound -- a flip or pin only moves its fanout, and every
+    assignment refines the joint X -- so the covers are exactly those of
+    the unfiltered sweep.  Size-1 combinations go straight to the exact
+    check, which the single-flip sweep has already memoized.
+
+    One budget rule: every combination examined counts toward
+    ``max_checks`` and charges one expansion of ``budget``, whether or not
+    a prefilter rejects it.  ``max_simulations``, when given, caps the
+    combinations that reach a simulating check (the X envelope or the
+    exact check).  Either cap, deadline/expansion exhaustion and the
+    multiplet ceiling end the sweep with the covers found so far, recorded
+    as ``cover`` truncations.
+    """
+    if wanted is None:
+        wanted = analysis.work_mask
+    needed = analysis.failing_outputs(wanted)
+    reach = [analysis.output_reach(site) for site in pool]
+    checks = structural = enveloped = verifications = 0
+
+    def cut(covers: list[tuple[Site, ...]], cause: str | None) -> CoverSweep:
+        return CoverSweep(tuple(covers), cause, structural + enveloped, verifications)
+
+    for size in range(1, max_size + 1):
+        covers: list[tuple[Site, ...]] = []
+        for combo, reaches in zip(combinations(pool, size), combinations(reach, size)):
+            checks += 1
+            if checks > max_checks:
+                if budget is not None:
+                    budget.record("cover", CAUSE_CHECKS, max_checks, max_checks)
+                return cut(covers, CAUSE_CHECKS)
+            simulated = enveloped + verifications
+            if max_simulations is not None and simulated >= max_simulations:
+                if budget is not None:
+                    budget.record("cover", CAUSE_CHECKS, simulated, max_simulations)
+                return cut(covers, CAUSE_CHECKS)
+            if budget is not None:
+                if checks > 1:
+                    cause = budget.stop("cover", checks - 1, max_checks)
+                    if cause is not None:
+                        return cut(covers, cause)
+                if budget.multiplets_exhausted(len(covers)):
+                    budget.record(
+                        "cover",
+                        CAUSE_MULTIPLETS,
+                        len(covers),
+                        budget.max_multiplets or 0,
+                    )
+                    return cut(covers, CAUSE_MULTIPLETS)
+                budget.charge()
+            if size > 1:
+                reached = 0
+                for bits in reaches:
+                    reached |= bits
+                if needed & ~reached:
+                    structural += 1
+                    continue
+                if not analysis.x_envelope_admits(combo, wanted):
+                    enveloped += 1
+                    continue
+            verifications += 1
+            if analysis.explained_mask(combo, wanted) == wanted:
+                covers.append(combo)
+        if covers:
+            return cut(covers, None)
+    return cut([], None)
+
+
 def enumerate_pertest_min_covers(
     analysis: PerTestAnalysis,
     seed_sites: tuple[Site, ...] = (),
@@ -376,46 +501,35 @@ def enumerate_pertest_min_covers(
 
     The pool unions the greedy solution (``seed_sites``), every exact
     singleton explainer, and the sites with the largest partial evidence;
-    combinations are verified with the exact subset-flip criterion (joint
-    diffs are cached inside the analysis, so repeated subsets are free).
-    Only complete covers are returned; the first cardinality with any
-    complete cover defines the minimum.
+    :func:`sweep_min_covers` enumerates it (prefilters, budget rule and
+    ``max_checks`` cap as documented there).  Only complete covers are
+    returned; the first cardinality with any complete cover defines the
+    minimum.
 
-    Before the exact check, a combination of two or more sites must pass
-    two necessary conditions, cheapest first: the union of its sites'
-    structural output reach contains every output with a non-X observed
-    failure, and X forced at all its sites at once reaches every non-X
-    failing strobe (:meth:`PerTestAnalysis.x_envelope_admits`).  Both are
-    sound -- a flip or pin only moves its fanout, and every assignment
-    refines the joint X -- so the returned covers are exactly those of
-    the unfiltered sweep.  Size-1 combinations go straight to the exact
-    check, which the single-flip sweep has already memoized.
-
-    A :class:`Budget` bounds the enumeration on top of ``max_checks``:
-    every combination charges one expansion, deadline/expansion exhaustion
-    ends the sweep with the covers found so far, and the multiplet ceiling
-    caps how many tying covers are collected (recorded as ``cover``
-    truncations).  Combinations count against ``max_checks`` and the
-    budget whether or not a prefilter rejects them.
-
-    ``stats``, when given, receives ``n_cover_checks`` (combinations
-    examined; equal to ``max_checks`` when the cap cut the sweep),
-    ``n_cover_envelope_rejections`` (refuted by either prefilter) and
-    ``n_cover_verifications`` (exact checks run).
+    ``stats``, when given, receives :func:`cover_stats` of the sweep
+    (``n_cover_checks`` equals ``max_checks`` when the cap cut it).
     """
-    rejections = verifications = 0
-
-    def finish(covers: list[tuple[Site, ...]]) -> list[tuple[Site, ...]]:
-        if stats is not None:
-            stats["n_cover_checks"] = float(rejections + verifications)
-            stats["n_cover_envelope_rejections"] = float(rejections)
-            stats["n_cover_verifications"] = float(verifications)
-        return covers
-
     if not analysis.datalog.failing_indices:
-        return finish([])
-    # Pool priority: greedy solution, then singleton explainers by frequency,
-    # then the remaining seeds (pair-rescue participants), then best partials.
+        sweep = CoverSweep()
+    else:
+        sweep = sweep_min_covers(
+            analysis,
+            _enumeration_pool(analysis, seed_sites, max_candidates),
+            max_size,
+            max_checks=max_checks,
+            budget=budget,
+        )
+    if stats is not None:
+        stats.update(cover_stats(sweep))
+    return list(sweep.covers)
+
+
+def _enumeration_pool(
+    analysis: PerTestAnalysis, seed_sites: tuple[Site, ...], max_candidates: int
+) -> list[Site]:
+    """Pool priority: greedy solution, then singleton explainers by
+    frequency, then the remaining seeds (pair-rescue participants), then
+    best partials."""
     pool: list[Site] = list(seed_sites[: max(1, max_candidates // 3)])
     singleton_sites: dict[Site, int] = {}
     for sites in analysis.exact_singletons.values():
@@ -433,42 +547,4 @@ def enumerate_pertest_min_covers(
             key=lambda s: (-len(analysis.atoms_of(s)), str(s)),
         )
         pool.extend(by_partial[: max_candidates - len(pool)])
-    pool = pool[:max_candidates]
-
-    work_mask = analysis.work_mask
-    needed = analysis.failing_outputs()
-    reach = [analysis.output_reach(site) for site in pool]
-    checks = 0
-    for size in range(1, max_size + 1):
-        solutions: list[tuple[Site, ...]] = []
-        for combo, reaches in zip(combinations(pool, size), combinations(reach, size)):
-            checks += 1
-            if checks > max_checks:
-                if budget is not None:
-                    budget.record("cover", CAUSE_CHECKS, max_checks, max_checks)
-                return finish(solutions)
-            if budget is not None:
-                if checks > 1 and budget.stop("cover", checks - 1, max_checks):
-                    return finish(solutions)
-                if budget.multiplets_exhausted(len(solutions)):
-                    budget.record(
-                        "cover",
-                        "multiplets",
-                        len(solutions),
-                        budget.max_multiplets or 0,
-                    )
-                    return finish(solutions)
-                budget.charge()
-            if size > 1:
-                reached = 0
-                for bits in reaches:
-                    reached |= bits
-                if needed & ~reached or not analysis.x_envelope_admits(combo):
-                    rejections += 1
-                    continue
-            verifications += 1
-            if analysis.explained_mask(combo) == work_mask:
-                solutions.append(combo)
-        if solutions:
-            return finish(solutions)
-    return finish([])
+    return pool[:max_candidates]

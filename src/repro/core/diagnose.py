@@ -32,6 +32,7 @@ from repro.core.backtrace import candidate_sites
 from repro.core.budget import Budget
 from repro.core.clusterdiag import cluster_cover
 from repro.core.cover import (
+    cover_stats,
     enumerate_min_covers,
     enumerate_pertest_min_covers,
     greedy_cover,
@@ -53,6 +54,14 @@ from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
 METHOD_NAME = "xcover"  #: campaign/report tag of the proposed method
+#: Largest multiplet any cover engine builds (greedy, exact and clustered).
+MAX_MULTIPLET_SIZE = 6
+#: Cardinality the minimum-cover searches reach even when the greedy
+#: needed fewer sites.
+EXACT_MAX_SIZE = 3
+#: Cap on the multiplets a report lists (the candidate list still unions
+#: every minimum cover).
+MAX_REPORTED_MULTIPLETS = 10
 
 
 @dataclass(frozen=True)
@@ -74,25 +83,12 @@ class DiagnosisConfig:
     #: The greedy solution always runs first as the anytime incumbent and
     #: fallback; ``"exact"``/``"clustered"`` refine it.
     cover_engine: str = "greedy"
-    include_branches: bool = True
-    max_multiplet_size: int = 6
-    pair_cap: int = 300
     enumerate_exact: bool = True
-    exact_max_candidates: int = 18
-    exact_max_size: int = 3
-    max_reported_multiplets: int = 10
     #: Per failing pattern, how many exact singleton explainers join the
     #: candidate list even when outside every minimum cover (0 disables).
     #: This is the per-test reporting of the method: each failing pattern
     #: names its own suspects, and the union is the resolution.
     per_pattern_candidates: int = 6
-    #: Drop per-pattern extras for which no concrete fault model survives
-    #: vindication (arbitrary-only coincidental equivalents).  Multiplet
-    #: members are never dropped, so model-free (byzantine) defects located
-    #: by the covering stage stay reported.
-    drop_unmodeled_extras: bool = True
-    greedy_top_k: int = 24  #: xcover engine only
-    rescue_pair_cap: int = 400  #: xcover engine only
     refine: RefineConfig = field(default_factory=RefineConfig)
     #: Anytime resource governance (see :mod:`repro.core.budget`): a
     #: wall-clock deadline in seconds, a ceiling on enumerated multiplet
@@ -234,13 +230,9 @@ class Diagnoser:
                 base_values = sim_context(self.netlist, patterns).base
             with t.span("backtrace") as sp_backtrace:
                 if cfg.engine == "pertest":
-                    sites = candidate_sites(
-                        self.netlist, datalog, cfg.include_branches, budget=budget
-                    )
+                    sites = candidate_sites(self.netlist, datalog, budget=budget)
                 else:
-                    sites = candidate_sites(
-                        self.netlist, datalog, cfg.include_branches
-                    )
+                    sites = candidate_sites(self.netlist, datalog)
             started = root.start
             t_sim = sp_backtrace.end
 
@@ -272,7 +264,7 @@ class Diagnoser:
                     for site in group:
                         if site not in all_sites:
                             all_sites.append(site)
-                reported_sets = multiplet_sets[: cfg.max_reported_multiplets]
+                reported_sets = multiplet_sets[:MAX_REPORTED_MULTIPLETS]
 
                 core_sites = {site for group in multiplet_sets for site in group}
                 candidates = []
@@ -309,13 +301,14 @@ class Diagnoser:
                         budget=budget,
                     )
                     if (
-                        cfg.drop_unmodeled_extras
-                        and site not in core_sites
+                        site not in core_sites
                         and all(h.kind == "arbitrary" for h in hypotheses)
                         and not (budget is not None and budget.exceeded())
                     ):
                         # A per-pattern extra that no concrete model survives
-                        # for is a coincidental equivalent; passing-pattern
+                        # for is a coincidental equivalent (multiplet members
+                        # are never dropped, so model-free defects located by
+                        # the covering stage stay reported); passing-pattern
                         # evidence has already vindicated every mechanism it
                         # could have had.  (A site whose refinement was cut
                         # short by the budget is kept: absence of a surviving
@@ -453,22 +446,19 @@ class Diagnoser:
             )
         with tracer.span("cover"):
             solution = greedy_pertest_cover(
-                analysis,
-                max_size=cfg.max_multiplet_size,
-                pair_cap=cfg.pair_cap,
-                budget=budget,
+                analysis, max_size=MAX_MULTIPLET_SIZE, budget=budget
             )
             multiplet_sets: list[tuple[Site, ...]] = []
             optimality: str | None = None
             unexplained = solution.unexplained
             engine_stats: dict[str, float] = {}
+            # Enumerate at least up to the size the greedy needed, so that
+            # every tying alternative of a pair-rescued explanation is
+            # reported (bounded overall by the sweep's check caps).
+            depth = min(max(EXACT_MAX_SIZE, len(solution.sites)), MAX_MULTIPLET_SIZE)
             if cfg.cover_engine == "exact":
                 # Implicit-hitting-set refinement: the greedy solution is
                 # the incumbent (depth bound + anytime fallback).
-                depth = min(
-                    max(cfg.exact_max_size, len(solution.sites)),
-                    cfg.max_multiplet_size,
-                )
                 result = hitting_set_cover(
                     analysis,
                     seed_sites=solution.sites + solution.pair_candidates,
@@ -478,10 +468,7 @@ class Diagnoser:
                 )
                 multiplet_sets = list(result.covers)
                 optimality = result.optimality
-                engine_stats["n_hitting_conflicts"] = float(result.conflicts)
-                engine_stats["n_hitting_verifications"] = float(
-                    result.verifications
-                )
+                engine_stats.update(cover_stats(result.sweep))
                 if result.covers:
                     # A verified cover explains every failing pattern.
                     unexplained = frozenset()
@@ -489,28 +476,21 @@ class Diagnoser:
                 cres = cluster_cover(
                     analysis,
                     seed_sites=solution.sites + solution.pair_candidates,
-                    max_size=cfg.max_multiplet_size,
-                    max_covers=cfg.max_reported_multiplets,
+                    max_size=MAX_MULTIPLET_SIZE,
+                    max_covers=MAX_REPORTED_MULTIPLETS,
                     budget=budget,
                 )
                 multiplet_sets = list(cres.covers)
                 optimality = cres.optimality
+                engine_stats.update(cover_stats(*cres.sweeps))
                 engine_stats["n_failure_clusters"] = float(len(cres.clusters))
-                engine_stats["n_cluster_fallback"] = float(cres.fallback)
+                engine_stats["n_cluster_fallback"] = float(cres.fallback is not None)
                 if cres.covers:
                     unexplained = cres.unexplained
             elif cfg.enumerate_exact:
-                # Enumerate at least up to the size the greedy needed, so
-                # that every tying alternative of a pair-rescued explanation
-                # is reported (bounded overall by max_checks inside).
-                depth = min(
-                    max(cfg.exact_max_size, len(solution.sites)),
-                    cfg.max_multiplet_size,
-                )
                 multiplet_sets = enumerate_pertest_min_covers(
                     analysis,
                     seed_sites=solution.sites + solution.pair_candidates,
-                    max_candidates=cfg.exact_max_candidates,
                     max_size=depth,
                     budget=budget,
                     stats=engine_stats,
@@ -558,28 +538,14 @@ class Diagnoser:
         cfg = self.config
         with tracer.span("xcover"):
             xc = build_xcover(
-                self.netlist,
-                patterns,
-                datalog,
-                include_branches=cfg.include_branches,
-                base_values=base_values,
-                budget=budget,
+                self.netlist, patterns, datalog, base_values=base_values, budget=budget
             )
         with tracer.span("cover"):
-            solution = greedy_cover(
-                xc,
-                max_size=cfg.max_multiplet_size,
-                top_k=cfg.greedy_top_k,
-                rescue_pair_cap=cfg.rescue_pair_cap,
-                budget=budget,
-            )
+            solution = greedy_cover(xc, max_size=MAX_MULTIPLET_SIZE, budget=budget)
             multiplet_sets: list[tuple[Site, ...]] = []
             if cfg.enumerate_exact:
                 multiplet_sets = enumerate_min_covers(
-                    xc,
-                    max_candidates=cfg.exact_max_candidates,
-                    max_size=cfg.exact_max_size,
-                    budget=budget,
+                    xc, max_size=EXACT_MAX_SIZE, budget=budget
                 )
             known = {tuple(sorted(map(str, m))) for m in multiplet_sets}
             if (

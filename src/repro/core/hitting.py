@@ -6,27 +6,27 @@ implicit-hitting-set (IHS) scheme of Ignatiev et al., *Model Based
 Diagnosis of Multiple Observations with Implicit Hitting Sets*
 (arXiv:1707.01972), specialized to the assumption-free per-test criterion:
 
-- **Conflicts** are refuting site-sets.  For a failing pattern ``t`` the
-  set ``K_t`` of candidate sites inside the fan-in cone of ``t``'s failing
-  outputs is a *sound* conflict: any flip/pin assignment that reproduces
-  ``t``'s failures exactly must flip at least one site whose corruption
-  reaches those outputs, so every cover hits ``K_t``.  Soundness needs no
-  monotonicity assumption -- it follows from ``_match_vector`` requiring a
-  non-empty predicted flip on the observed failing outputs.
-- **Candidates** are hitting sets of the conflicts collected so far,
-  enumerated in increasing cardinality (bitmask subset tests over a ranked
-  site pool); a candidate that misses a conflict is pruned without paying a
-  verification.
-- **Verification** is exact: :meth:`PerTestAnalysis.explained_patterns`
-  tries every flip/pin assignment of the candidate.  A refuted candidate
-  contributes the conflicts of its unexplained patterns, tightening the
-  next round -- the "grow, verify, refute, repeat" loop of the IHS scheme.
+- **Conflicts** are refuting site-sets.  For every output ``o`` with a
+  non-X observed failure on a wanted pattern, the sites whose structural
+  fanout reaches ``o`` form a *sound* conflict: any flip/pin assignment
+  that reproduces that failure exactly must flip at least one site whose
+  corruption reaches ``o``, so every cover hits it.  Soundness needs no
+  monotonicity assumption -- it follows from ``_match_vector`` requiring
+  the predicted flips to equal the observed ones.  The sweep's structural
+  prefilter tests every such conflict on every combination up front, so
+  none has to be learned from refutations, and a pool whose combined
+  reach misses one holds no cover at all.
+- **Candidates** are enumerated in increasing cardinality over a ranked
+  site pool by :func:`repro.core.cover.sweep_min_covers`, the one
+  minimum-cover sweep; a candidate that misses a conflict or the joint X
+  envelope is pruned without paying a verification.
+- **Verification** is exact: every flip/pin assignment of the candidate
+  is tried against the wanted failing patterns.
 
-Because conflicts only ever exclude non-covers, the first cardinality with
-a verified cover is the provable minimum over the pool, and *all* tying
-covers of that cardinality are collected (the resolution statistic).  The
-engine is anytime: a :class:`Budget` charges one expansion per
-verification, and exhaustion returns the covers found so far.
+Because the prefilters only ever exclude non-covers, the first cardinality
+with a verified cover is the provable minimum over the pool, and *all*
+tying covers of that cardinality are collected (the resolution statistic).
+The engine is anytime under the sweep's budget rule.
 
 The :class:`HittingSetResult` carries an ``optimality`` status describing
 the *cardinality claim* (orthogonal to the completeness verdict):
@@ -36,9 +36,8 @@ the *cardinality claim* (orthogonal to the completeness verdict):
   Tie collection may still have been cut short (a ``cover`` truncation on
   the budget records that), but the cardinality stands.
 - ``bounded`` -- a structural bound limited the search without a proof:
-  the pool was capped, the combination/verification ceiling interrupted a
-  sweep before any cover was found, or no cover exists within
-  ``max_size`` sites of the pool.
+  the pool was capped, a check cap interrupted a sweep before any cover
+  was found, or no cover exists within ``max_size`` sites of the pool.
 - ``budget`` -- the :class:`Budget` (deadline, expansions, cancellation)
   stopped the search before any cover was verified at the current
   cardinality; the caller should fall back to its greedy incumbent.
@@ -55,7 +54,6 @@ reference enumeration search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from repro.circuit.netlist import Site
@@ -67,6 +65,7 @@ from repro.core.budget import (
     OPTIMALITY_OPTIMAL,
     Budget,
 )
+from repro.core.cover import CoverSweep, sweep_min_covers
 from repro.core.pertest import PerTestAnalysis
 
 
@@ -76,21 +75,24 @@ class HittingSetResult:
 
     ``covers`` holds every verified cover of the winning cardinality (all
     of them when the search completed, a prefix when truncated);
-    ``conflicts`` / ``verifications`` count the refuting site-sets grown
-    and the exact checks spent, ``pool_size`` the candidate sites
+    ``sweep`` is the minimum-cover sweep that found them (its counts feed
+    the report's ``n_cover_*`` stats), ``pool_size`` the candidate sites
     enumerated over.
     """
 
     covers: tuple[tuple[Site, ...], ...]
     optimality: str
     cardinality: int
-    conflicts: int = 0
-    verifications: int = 0
+    sweep: CoverSweep = CoverSweep()
     pool_size: int = 0
 
     @property
     def complete(self) -> bool:
         return bool(self.covers)
+
+    @property
+    def verifications(self) -> int:
+        return self.sweep.verifications
 
 
 def conflict_pool(
@@ -128,8 +130,8 @@ def hitting_set_cover(
     incumbent: Sequence[Site] | None = None,
     max_size: int = 6,
     pool_cap: int = 384,
-    max_verifications: int = 20_000,
-    max_combos: int = 500_000,
+    max_checks: int = 500_000,
+    max_simulations: int = 20_000,
     budget: Budget | None = None,
 ) -> HittingSetResult:
     """All minimum-cardinality covers of ``failing`` by implicit hitting sets.
@@ -137,10 +139,10 @@ def hitting_set_cover(
     ``incumbent`` (typically the greedy solution, when complete) upper
     bounds the cardinality sweep: the search never explores sizes beyond
     it, and at its size the incumbent itself is re-verified among the
-    candidates.  ``max_combos`` bounds candidate *generation* (cheap
-    bitmask tests) and ``max_verifications`` bounds exact checks, mirroring
-    the ``max_checks`` discipline of the reference enumeration; a
-    :class:`Budget` additionally meters one expansion per verification.
+    candidates.  ``max_checks`` caps the combinations examined and
+    ``max_simulations`` those that reach a simulating check; a
+    :class:`Budget` is charged one expansion per combination examined
+    (see :func:`~repro.core.cover.sweep_min_covers`).
     """
     failing_set = (
         set(analysis.datalog.failing_indices) if failing is None else set(failing)
@@ -151,90 +153,31 @@ def hitting_set_cover(
     pool = conflict_pool(analysis, failing_set, seed_sites)
     bounded_pool = len(pool) > pool_cap
     pool = pool[:pool_cap]
-    site_bit = {site: 1 << i for i, site in enumerate(pool)}
-
-    # Per-pattern conflict masks: the pool sites inside the pattern's
-    # failing-output fan-in cone.  Cheap to precompute; *activated* lazily
-    # by refutations so pruning reflects only conflicts the search earned.
-    pattern_mask: dict[int, int] = {}
-    for idx in sorted(failing_set):
-        cone = analysis.netlist.fanin_cone(analysis.datalog.failing_outputs_of(idx))
-        pattern_mask[idx] = sum(bit for s, bit in site_bit.items() if s.net in cone)
-    if any(mask == 0 for mask in pattern_mask.values()):
-        # Some pattern has no candidate in the pool: no cover can exist
-        # over this candidate space.
-        return HittingSetResult((), OPTIMALITY_BOUNDED, 0, 0, 0, len(pool))
+    wanted = analysis.work_bits(failing_set)
+    reached = 0
+    for site in pool:
+        reached |= analysis.output_reach(site)
+    if analysis.failing_outputs(wanted) & ~reached:
+        # A needed output lies outside every pool site's reach: no cover
+        # can exist over this candidate space.
+        return HittingSetResult((), OPTIMALITY_BOUNDED, 0, pool_size=len(pool))
 
     upper = max_size
     if incumbent:
         upper = min(upper, len(tuple(dict.fromkeys(incumbent))))
-
-    conflict_masks: list[int] = []
-    active_masks: set[int] = set()
-    verifications = 0
-    combos_seen = 0
-
-    def result(covers: list[tuple[Site, ...]], size: int, stopped: str | None):
-        if covers:
-            status = OPTIMALITY_BOUNDED if bounded_pool else OPTIMALITY_OPTIMAL
-        elif stopped == "budget":
-            status = OPTIMALITY_BUDGET
-        else:
-            status = OPTIMALITY_BOUNDED
-        return HittingSetResult(
-            covers=tuple(covers),
-            optimality=status,
-            cardinality=size if covers else 0,
-            conflicts=len(conflict_masks),
-            verifications=verifications,
-            pool_size=len(pool),
-        )
-
-    for size in range(1, upper + 1):
-        covers: list[tuple[Site, ...]] = []
-        for combo in combinations(range(len(pool)), size):
-            combos_seen += 1
-            if combos_seen > max_combos:
-                if budget is not None:
-                    budget.record("cover", CAUSE_CHECKS, max_combos, max_combos)
-                return result(covers, size, "checks")
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(not mask & c for c in conflict_masks):
-                continue  # misses a known conflict: cannot be a cover
-            if budget is not None:
-                if verifications and budget.stop("cover", verifications, 0):
-                    return result(covers, size, "budget")
-                if budget.multiplets_exhausted(len(covers)):
-                    budget.record(
-                        "cover",
-                        CAUSE_MULTIPLETS,
-                        len(covers),
-                        budget.max_multiplets or 0,
-                    )
-                    return result(covers, size, "multiplets")
-                budget.charge()
-            if verifications >= max_verifications:
-                if budget is not None:
-                    budget.record(
-                        "cover", CAUSE_CHECKS, verifications, max_verifications
-                    )
-                return result(covers, size, "checks")
-            candidate = tuple(pool[i] for i in combo)
-            explained = analysis.explained_patterns(candidate)
-            verifications += 1
-            missing = failing_set - explained
-            if not missing:
-                covers.append(candidate)
-                continue
-            # Refutation: activate the conflicts of every unexplained
-            # pattern (dedup by mask -- cone-equivalent patterns share one).
-            for idx in sorted(missing):
-                cmask = pattern_mask[idx]
-                if cmask not in active_masks:
-                    active_masks.add(cmask)
-                    conflict_masks.append(cmask)
-        if covers:
-            return result(covers, size, None)
-    return result([], 0, None)
+    sweep = sweep_min_covers(
+        analysis, pool, upper, wanted, max_checks, max_simulations, budget
+    )
+    if sweep.covers:
+        status = OPTIMALITY_BOUNDED if bounded_pool else OPTIMALITY_OPTIMAL
+    elif sweep.stopped in (None, CAUSE_CHECKS, CAUSE_MULTIPLETS):
+        status = OPTIMALITY_BOUNDED
+    else:
+        status = OPTIMALITY_BUDGET
+    return HittingSetResult(
+        covers=sweep.covers,
+        optimality=status,
+        cardinality=len(sweep.covers[0]) if sweep.covers else 0,
+        sweep=sweep,
+        pool_size=len(pool),
+    )

@@ -143,9 +143,6 @@ class PerTestAnalysis:
             diff = self.assignment_diff((site,))
         return frozenset(out for out, vec in diff.items() if (vec >> pos) & 1)
 
-    def exact_match(self, site: Site, pattern_index: int) -> bool:
-        return site in self.exact_singletons.get(pattern_index, ())
-
     # -- interned assignments ----------------------------------------------------
 
     def _bit(self, site: Site) -> int:
@@ -248,16 +245,25 @@ class PerTestAnalysis:
         bits = [self._bit(site) for site in dict.fromkeys(subset)]
         return bool(self._explained(bits, 1 << self._pos_of[pattern_index]))
 
-    def explained_mask(self, multiplet: Iterable[Site]) -> int:
-        """Work-space mask of the failing patterns explained by some
-        flip/pin assignment of the multiplet (bit ``j`` = ``j``-th failing
-        pattern).
+    def work_bits(self, pattern_indices: Iterable[int]) -> int:
+        """Work-space mask of some failing patterns (original indices)."""
+        bits = 0
+        for idx in pattern_indices:
+            bits |= 1 << self._pos_of[idx]
+        return bits
+
+    def explained_mask(
+        self, multiplet: Iterable[Site], wanted: int | None = None
+    ) -> int:
+        """Work-space mask of the failing patterns of ``wanted`` (default:
+        all) explained by some flip/pin assignment of the multiplet (bit
+        ``j`` = ``j``-th failing pattern).
 
         Each assignment costs one bit-parallel resimulation over the
         failing patterns, memoized across calls.
         """
         bits = [self._bit(site) for site in dict.fromkeys(multiplet)]
-        return self._explained(bits, self.work_mask)
+        return self._explained(bits, self.work_mask if wanted is None else wanted)
 
     def explained_patterns(self, multiplet: Iterable[Site]) -> set[int]:
         """Failing patterns (original indices) explained by some flip/pin
@@ -282,29 +288,37 @@ class PerTestAnalysis:
                 bits |= 1 << pos
         return bits
 
-    def failing_outputs(self) -> int:
+    def failing_outputs(self, wanted: int | None = None) -> int:
         """Bits (over ``netlist.outputs``) of the outputs with an observed
-        failure on a non-X strobe: a complete cover must reach each one."""
+        failure on a non-X strobe of a ``wanted`` work position (default:
+        any): a cover of those patterns must reach each one."""
+        if wanted is None:
+            wanted = self.work_mask
         x_vec = self._x_vec
         bits = 0
         for pos, out in enumerate(self.netlist.outputs):
-            if self._obs_vec.get(out, 0) & ~x_vec.get(out, 0):
+            if self._obs_vec.get(out, 0) & wanted & ~x_vec.get(out, 0):
                 bits |= 1 << pos
         return bits
 
-    def x_envelope_admits(self, sites: Iterable[Site]) -> bool:
+    def x_envelope_admits(
+        self, sites: Iterable[Site], wanted: int | None = None
+    ) -> bool:
         """Whether X forced at every site jointly reaches every observed
-        non-X failing strobe.
+        non-X failing strobe of the ``wanted`` work positions (default:
+        all).
 
         Every flip/pin assignment of the sites refines that X injection
         (X-monotonicity), so a strobe the joint X cannot reach keeps its
         fault-free value under all of them and no assignment explains its
-        pattern: ``False`` refutes the multiplet as a complete cover.
+        pattern: ``False`` refutes the multiplet as a cover of ``wanted``.
         """
+        if wanted is None:
+            wanted = self.work_mask
         reach = self._ctx.joint_x_reach(sites)
         x_vec = self._x_vec
         for out, obs in self._obs_vec.items():
-            if obs & ~x_vec.get(out, 0) & ~reach.get(out, 0):
+            if obs & wanted & ~x_vec.get(out, 0) & ~reach.get(out, 0):
                 return False
         return True
 

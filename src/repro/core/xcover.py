@@ -23,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.circuit.gates import tv_all_x, tv_xmask
 from repro.circuit.netlist import Netlist, Site
 from repro.core.backtrace import candidate_sites
 from repro.core.budget import Budget
 from repro.errors import DiagnosisError
 from repro.sim.cache import active_context, sim_context
 from repro.sim.patterns import PatternSet
-from repro.sim.threeval import simulate3, x_injection_reach
+from repro.sim.threeval import joint_x_injection_reach, x_injection_reach
 from repro.tester.datalog import Datalog
 
 Atom = tuple[int, str]  # (pattern index, output net)
@@ -67,16 +66,12 @@ class XCoverAnalysis:
 
     def joint_reach(self, sites: Iterable[Site]) -> dict[str, int]:
         """Per-output X vectors under simultaneous X injection at ``sites``."""
-        overrides = {site: tv_all_x(self.patterns.mask) for site in sites}
-        if not overrides:
+        sites = tuple(sites)
+        if not sites:
             return {}
-        values3 = simulate3(self.netlist, self.patterns, overrides)
-        out: dict[str, int] = {}
-        for net in self.netlist.outputs:
-            xm = tv_xmask(values3[net])
-            if xm:
-                out[net] = xm
-        return out
+        return joint_x_injection_reach(
+            self.netlist, self.patterns, sites, self.base_values
+        )
 
     def joint_covered_atoms(self, sites: Iterable[Site]) -> frozenset[Atom]:
         """Observed fail atoms explainable by defects at all of ``sites``."""

@@ -293,10 +293,6 @@ class ShardExecutor:
         idx = shard_index(spec.shard_key, self._workers)
         self._slots[idx].queue.put(_Item(job_id, spec, token, degraded))
 
-    def queued_jobs(self) -> int:
-        """Approximate number of accepted-but-unstarted jobs."""
-        return sum(slot.queue.qsize() for slot in self._slots)
-
     # -- the watchdog --------------------------------------------------------
 
     def _watchdog_loop(self) -> None:

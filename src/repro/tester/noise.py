@@ -120,15 +120,6 @@ class RawLog:
             for out in rec.outputs
         }
 
-    def fail_outputs_of(self, pattern_index: int) -> set[str]:
-        """Union of failing outputs over every record of one pattern."""
-        return {
-            out
-            for rec in self.records
-            if rec.kind == "fail" and rec.pattern_index == pattern_index
-            for out in rec.outputs
-        }
-
     def to_text(self) -> str:
         """Serialize records verbatim -- duplicates and disorder survive."""
         header = f"# datalog circuit={self.circuit_name} patterns={self.n_patterns}"

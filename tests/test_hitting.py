@@ -1,10 +1,15 @@
 """Implicit-hitting-set engine tests: differential optimality vs the
-reference enumeration, optimality statuses, and anytime behavior."""
+reference enumeration and vs the conflict-learning engine it replaced,
+optimality statuses, and anytime behavior."""
+
+from itertools import combinations
 
 import pytest
 
+from repro.campaign.samplers import sample_defect_set
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.generators import ripple_carry_adder
+from repro.circuit.library import load_circuit
 from repro.circuit.netlist import Site
 from repro.core.backtrace import candidate_sites
 from repro.core.budget import (
@@ -13,6 +18,7 @@ from repro.core.budget import (
     OPTIMALITY_OPTIMAL,
     Budget,
 )
+from repro.core.clusterdiag import cluster_failing_patterns
 from repro.core.cover import enumerate_pertest_min_covers, greedy_pertest_cover
 from repro.core.hitting import conflict_pool, hitting_set_cover
 from repro.core.pertest import build_pertest
@@ -90,7 +96,7 @@ class TestDifferential:
             pt, seed_sites=kwargs["seed_sites"], max_size=3
         )
         result = hitting_set_cover(pt, max_size=3, **kwargs)
-        if result.verifications < 20_000:  # sweep completed, ties exhaustive
+        if result.sweep.stopped is None:  # sweep completed, ties exhaustive
             found = {frozenset(c) for c in result.covers}
             assert {frozenset(c) for c in reference} <= found
 
@@ -107,6 +113,131 @@ class TestDifferential:
         result = hitting_set_cover(pt, max_size=3, **kwargs)
         assert result.cardinality == min(len(c) for c in reference)
         assert result.optimality == OPTIMALITY_OPTIMAL
+
+
+def reference_hitting_set_cover(
+    analysis,
+    failing=None,
+    seed_sites=(),
+    incumbent=None,
+    max_size=6,
+    pool_cap=384,
+    max_verifications=20_000,
+    max_combos=500_000,
+):
+    """The conflict-learning engine the shared sweep replaced (unbudgeted).
+
+    Per-pattern conflicts (the pool sites in the fan-in cone of a
+    pattern's failing outputs) are activated by refutations and prune
+    later candidates by bitmask.  Returns ``(covers, optimality,
+    cardinality, verifications)``.
+    """
+    failing_set = (
+        set(analysis.datalog.failing_indices) if failing is None else set(failing)
+    )
+    if not failing_set:
+        return (), OPTIMALITY_OPTIMAL, 0, 0
+    pool = conflict_pool(analysis, failing_set, seed_sites)
+    bounded_pool = len(pool) > pool_cap
+    pool = pool[:pool_cap]
+    pattern_mask = {}
+    for idx in sorted(failing_set):
+        cone = analysis.netlist.fanin_cone(analysis.datalog.failing_outputs_of(idx))
+        pattern_mask[idx] = sum(1 << i for i, s in enumerate(pool) if s.net in cone)
+    if not all(pattern_mask.values()):
+        return (), OPTIMALITY_BOUNDED, 0, 0
+    upper = max_size
+    if incumbent:
+        upper = min(upper, len(tuple(dict.fromkeys(incumbent))))
+    conflict_masks = []
+    verifications = combos_seen = 0
+
+    def result(covers, size):
+        status = OPTIMALITY_BOUNDED
+        if covers and not bounded_pool:
+            status = OPTIMALITY_OPTIMAL
+        return tuple(covers), status, size if covers else 0, verifications
+
+    for size in range(1, upper + 1):
+        covers = []
+        for combo in combinations(range(len(pool)), size):
+            combos_seen += 1
+            if combos_seen > max_combos:
+                return result(covers, size)
+            mask = sum(1 << i for i in combo)
+            if any(not mask & c for c in conflict_masks):
+                continue
+            if verifications >= max_verifications:
+                return result(covers, size)
+            candidate = tuple(pool[i] for i in combo)
+            missing = failing_set - analysis.explained_patterns(candidate)
+            verifications += 1
+            if not missing:
+                covers.append(candidate)
+                continue
+            for idx in sorted(missing):
+                if pattern_mask[idx] not in conflict_masks:
+                    conflict_masks.append(pattern_mask[idx])
+        if covers:
+            return result(covers, size)
+    return result([], 0)
+
+
+def _seeded_die(netlist, patterns, k, seed):
+    for attempt in range(50):
+        defects = sample_defect_set(netlist, k, seed=100 * seed + attempt)
+        result = apply_test(netlist, patterns, defects)
+        if result.device_fails:
+            return result.datalog
+    pytest.fail(f"no failing die for {netlist.name} k={k} seed={seed}")
+
+
+#: Seeded dies at k = 1..3.  The slow ones are those where the reference
+#: spends its whole 20,000-verification cap (several seconds each).
+REFERENCE_DIES = [
+    ("rca8", 1, 1),
+    ("rca8", 2, 1),
+    ("rca8", 3, 3),
+    ("alu8", 1, 1),
+    ("alu8", 2, 1),
+    ("alu8", 3, 2),
+    pytest.param("rca8", 3, 1, marks=pytest.mark.slow),
+    pytest.param("alu8", 3, 1, marks=pytest.mark.slow),
+]
+
+
+class TestConflictLearningReference:
+    @pytest.mark.parametrize("circuit,k,seed", REFERENCE_DIES)
+    def test_identical_to_conflict_learning(self, circuit, k, seed):
+        """Over the die's whole failing set, each single failing pattern
+        and each failure cluster, the shared sweep returns the reference
+        engine's covers in its order, with its cardinality and
+        optimality.  Where the reference stopped at its verification cap
+        mid-tie-collection (the sweep verifies far fewer candidates), its
+        covers are a prefix of the sweep's."""
+        netlist = load_circuit(circuit)
+        patterns = PatternSet.random(netlist, 32, seed=7)
+        datalog = _seeded_die(netlist, patterns, k, seed)
+        pt = build_pertest(
+            netlist, patterns, datalog, candidate_sites(netlist, datalog)
+        )
+        greedy, kwargs = _engine_inputs(pt)
+        cases = [(None, kwargs)]
+        cases += [([idx], {}) for idx in datalog.failing_indices]
+        cases += [
+            (cluster, {"seed_sites": kwargs["seed_sites"]})
+            for cluster in cluster_failing_patterns(pt)
+        ]
+        for failing, extra in cases:
+            covers, optimality, cardinality, verified = reference_hitting_set_cover(
+                pt, failing, **extra
+            )
+            got = hitting_set_cover(pt, failing, **extra)
+            assert (got.optimality, got.cardinality) == (optimality, cardinality)
+            if verified < 20_000:
+                assert got.covers == covers, failing
+            else:
+                assert got.covers[: len(covers)] == covers, failing
 
 
 def two_islands():
@@ -146,13 +277,15 @@ class TestTwoIslands:
         assert len(result.covers) > 1
         assert {len(c) for c in result.covers} == {2}
 
-    def test_conflicts_grow_from_refutations(self):
+    def test_size_one_refutations_precede_the_pairs(self):
         pt = two_islands()
         result = hitting_set_cover(pt, max_size=4)
-        # Size-1 candidates were all refuted, so at least one conflict was
-        # learned before the winning size.
-        assert result.conflicts >= 1
-        assert result.verifications > len(result.covers)
+        sweep = result.sweep
+        # Every size-1 candidate was verified and refuted before the
+        # winning size, and pairs inside one island miss the other
+        # island's failing output, so the prefilter rejects some.
+        assert sweep.verifications >= result.pool_size + len(result.covers)
+        assert sweep.rejections >= 1
 
 
 class TestStatuses:
@@ -199,9 +332,19 @@ class TestStatuses:
     def test_verification_cap_records_truncation(self, rca6, pats):
         pt = _analysis(rca6, pats, DEFECT_SETS[2])
         budget = Budget(max_expansions=10**9)
-        hs = hitting_set_cover(pt, max_verifications=1, budget=budget)
+        hs = hitting_set_cover(pt, max_simulations=1, budget=budget)
         assert hs.verifications <= 1
         assert any(t.cause == "checks" for t in budget.truncations)
+
+    def test_budget_charges_every_combination_examined(self):
+        """One budget rule: a combination costs one expansion whether the
+        prefilters reject it or the exact check verifies it."""
+        pt = two_islands()
+        budget = Budget(max_expansions=10**9)
+        hs = hitting_set_cover(pt, budget=budget)
+        assert hs.sweep.rejections and hs.sweep.verifications
+        assert budget.expansions == hs.sweep.rejections + hs.sweep.verifications
+        assert not budget.truncations
 
 
 class TestDeterminism:
