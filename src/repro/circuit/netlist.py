@@ -119,6 +119,7 @@ class Netlist:
                 )
             self.gates[gate.output] = gate
         self._input_set = frozenset(self.inputs)
+        self._output_set = frozenset(self.outputs)
         if len(self._input_set) != len(self.inputs):
             raise NetlistError("duplicate primary input name")
         clash = self._input_set & self.gates.keys()
@@ -282,6 +283,12 @@ class Netlist:
 
     def fanout_count(self, net: str) -> int:
         return len(self._fanouts[net])
+
+    def has_distinct_branches(self, net: str) -> bool:
+        """Whether flipping one branch of ``net`` can differ from flipping
+        its stem: the net feeds more than one gate pin, or is a primary
+        output.  A branch of any other net is exactly its stem."""
+        return len(self._fanouts[net]) > 1 or net in self._output_set
 
     # -- cones ----------------------------------------------------------------
 

@@ -23,8 +23,7 @@ from typing import Mapping
 from repro.circuit.gates import eval2
 from repro.circuit.netlist import Netlist, Site
 from repro.core.budget import Budget
-from repro.sim.cache import active_context
-from repro.sim.event import changed_outputs, resimulate_with_overrides
+from repro.sim.cache import flip_output_diffs
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -78,17 +77,12 @@ def flip_criticality(
 
     Bit *i* of ``result[out]`` is set iff inverting the site's value under
     pattern *i* inverts output ``out``.  This is critical path tracing with
-    exact stem handling, evaluated for every pattern in one cone-restricted
-    resimulation -- or answered from the shared context's flip-signature
-    memo when ``base_values`` is that context's own base vector.
+    exact stem handling, evaluated for every pattern at once by
+    :func:`~repro.sim.cache.flip_output_diffs` -- from the shared
+    context's flip-signature memo when ``base_values`` is that context's
+    own base vector.
     """
-    ctx = active_context(netlist, patterns, base_values)
-    if ctx is not None:
-        return dict(ctx.flip_signature(site))
-    mask = patterns.mask
-    flipped = (base_values[site.net] ^ mask) & mask
-    changed = resimulate_with_overrides(netlist, base_values, {site: flipped}, mask)
-    return changed_outputs(netlist, changed, base_values, mask)
+    return dict(flip_output_diffs(netlist, patterns, (site,), base_values)[0])
 
 
 def _scalar_values(values: Mapping[str, int], pattern_index: int) -> dict[str, int]:
@@ -136,10 +130,12 @@ def cpt_trace(
             if netlist.fanout_count(src) > 1:
                 # Stem: exact single-pattern flip check (memoized per stem).
                 if src not in checked_stems:
-                    changed = resimulate_with_overrides(
-                        netlist, scalar, {Site(src): scalar[src] ^ 1}, 1
+                    (diff,) = flip_output_diffs(
+                        netlist, patterns, (Site(src),), base_values
                     )
-                    checked_stems[src] = output in changed
+                    checked_stems[src] = bool(
+                        (diff.get(output, 0) >> pattern_index) & 1
+                    )
                 if checked_stems[src]:
                     stack.append(src)
             else:

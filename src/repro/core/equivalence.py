@@ -22,8 +22,7 @@ from typing import Mapping, Sequence
 
 from repro.circuit.netlist import Netlist, Site
 from repro.core.report import Candidate, DiagnosisReport
-from repro.sim.cache import active_context, sim_context
-from repro.sim.event import changed_outputs, resimulate_with_overrides
+from repro.sim.cache import flip_output_diffs, sim_context
 from repro.sim.patterns import PatternSet
 
 
@@ -34,13 +33,10 @@ def flip_signature(
     base_values: Mapping[str, int],
 ) -> tuple[tuple[str, int], ...]:
     """Canonical hashable single-flip signature of a site."""
-    ctx = active_context(netlist, patterns, base_values)
-    if ctx is not None:
-        return tuple(sorted(ctx.flip_signature(site).items()))
-    mask = patterns.mask
-    flipped = (base_values[site.net] ^ mask) & mask
-    changed = resimulate_with_overrides(netlist, base_values, {site: flipped}, mask)
-    diff = changed_outputs(netlist, changed, base_values, mask)
+    return _canonical(flip_output_diffs(netlist, patterns, (site,), base_values)[0])
+
+
+def _canonical(diff: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(diff.items()))
 
 
@@ -58,8 +54,9 @@ def signature_classes(
         base_values = sim_context(netlist, patterns).base
     groups: dict[tuple, list[Site]] = {}
     order: list[tuple] = []
-    for site in sites:
-        key = flip_signature(netlist, patterns, site, base_values)
+    diffs = flip_output_diffs(netlist, patterns, sites, base_values)
+    for site, diff in zip(sites, diffs):
+        key = _canonical(diff)
         if key not in groups:
             groups[key] = []
             order.append(key)
@@ -102,8 +99,11 @@ def group_candidates(
         base_values = sim_context(netlist, patterns).base
     by_signature: dict[tuple, list[Candidate]] = {}
     order: list[tuple] = []
-    for candidate in report.candidates:
-        key = flip_signature(netlist, patterns, candidate.site, base_values)
+    diffs = flip_output_diffs(
+        netlist, patterns, [c.site for c in report.candidates], base_values
+    )
+    for candidate, diff in zip(report.candidates, diffs):
+        key = _canonical(diff)
         if key not in by_signature:
             by_signature[key] = []
             order.append(key)

@@ -39,7 +39,9 @@ from typing import Iterable, Mapping, Sequence
 from repro.circuit.netlist import Netlist, Site
 from repro.core.budget import Budget
 from repro.core.xcover import Atom
+from repro.obs.trace import trace_span
 from repro.sim.cache import SimContext, sim_context
+from repro.sim.compile import COUNTERS
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog
 
@@ -336,10 +338,15 @@ def build_pertest(
     ``base_values`` (full-test-set fault-free values) is accepted for API
     symmetry but the analysis derives its own failing-subset simulation.
 
-    Under a ``budget`` the single-flip sweep is checked per site (each
-    costs one cone-restricted resimulation, charged as one expansion); on
-    exhaustion the analysis covers only the sites swept so far and a
-    ``pertest`` truncation is recorded.
+    The flips come from the context's lane-packed sweep
+    (:meth:`~repro.sim.cache.SimContext.flip_signatures`), fetched one
+    chunk of ``flip_lanes`` sites -- one full pass -- as the loop reaches
+    it.  Under a ``budget`` the sweep is still checked per site (each
+    site charges one expansion, whatever the memo or the chunking did);
+    on exhaustion the analysis covers only the sites swept so far and a
+    ``pertest`` truncation is recorded, with at most one chunk simulated
+    past that point.  The sweep runs in a ``flip_sweep`` span recording
+    the sites swept and the packed passes it took.
     """
     del base_values  # the analysis works on the failing-pattern subset
     failing = datalog.failing_indices
@@ -364,42 +371,54 @@ def build_pertest(
     #: flip-response signature -> first site seen with it
     sig_seen: dict[tuple, Site] = {}
     sites = list(sites)
-    for done, site in enumerate(sites):
-        if (
-            budget is not None
-            and done
-            and budget.stop("pertest", done, len(sites))
-        ):
-            sites = sites[:done]
-            break
-        if budget is not None:
-            # Charged per site regardless of memo warmth, so anytime
-            # truncation points stay deterministic across cache states.
-            budget.charge()
-        diff = ctx.flip_signature(site)
-        flip_diff[site] = diff
-        # Response-signature dedup: a site whose flip leaves the same
-        # output signature as an earlier one is behaviorally equivalent on
-        # this evidence -- reuse the derived atoms and exact matches
-        # instead of re-walking the failing patterns.
-        signature = tuple(sorted(diff.items()))
-        twin = sig_seen.get(signature)
-        if twin is None:
-            sig_seen[signature] = site
-            match_of[site] = _match_vector(diff, obs_vec, x_vec, work.mask)
-            covered: set[Atom] = set()
-            for out, vec in diff.items():
-                reproduced = vec & obs_vec.get(out, 0) & ~x_vec.get(out, 0)
-                while reproduced:
-                    low = reproduced & -reproduced
-                    covered.add((failing[low.bit_length() - 1], out))
-                    reproduced ^= low
-            site_atoms[site] = frozenset(covered)
-        else:
-            site_atoms[site] = site_atoms[twin]
-            match_of[site] = match_of[twin]
-        for pos in _ids(match_of[site]):
-            exact[failing[pos]].append(site)
+    lanes = ctx.flip_lanes
+    passes_before = COUNTERS.full_passes
+    with trace_span("flip_sweep") as span:
+        for done, site in enumerate(sites):
+            if (
+                budget is not None
+                and done
+                and budget.stop("pertest", done, len(sites))
+            ):
+                sites = sites[:done]
+                break
+            if budget is not None:
+                # Charged per site regardless of memo warmth, so anytime
+                # truncation points stay deterministic across cache states.
+                budget.charge()
+            if done % lanes == 0:
+                chunk = ctx.flip_signatures(sites[done : done + lanes])
+            diff = chunk[done % lanes]
+            flip_diff[site] = diff
+            # Response-signature dedup: a site whose flip leaves the same
+            # output signature as an earlier one is behaviorally equivalent
+            # on this evidence -- reuse the derived atoms and exact matches
+            # instead of re-walking the failing patterns.
+            signature = tuple(sorted(diff.items()))
+            twin = sig_seen.get(signature)
+            if twin is None:
+                sig_seen[signature] = site
+                match_of[site] = _match_vector(diff, obs_vec, x_vec, work.mask)
+                covered: set[Atom] = set()
+                for out, vec in diff.items():
+                    reproduced = (
+                        vec & obs_vec.get(out, 0) & ~x_vec.get(out, 0)
+                    )
+                    while reproduced:
+                        low = reproduced & -reproduced
+                        covered.add((failing[low.bit_length() - 1], out))
+                        reproduced ^= low
+                site_atoms[site] = frozenset(covered)
+            else:
+                site_atoms[site] = site_atoms[twin]
+                match_of[site] = match_of[twin]
+            for pos in _ids(match_of[site]):
+                exact[failing[pos]].append(site)
+        if span is not None:
+            span.meta = {
+                "sites": len(sites),
+                "passes": COUNTERS.full_passes - passes_before,
+            }
 
     analysis = PerTestAnalysis(
         netlist=netlist,

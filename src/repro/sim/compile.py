@@ -14,9 +14,15 @@ for straight-line evaluators:
   and one store.
 - **Codegen.**  For each netlist a specialized Python function is emitted
   (one statement per gate, constants folded in) and compiled with ``exec``.
-  Ten variants cover the engine needs: {2-valued, 3-valued} x {full pass,
-  cone-restricted} x {plain, stem overrides, stem+pin overrides}.  Variants
-  are generated lazily on first use.
+  Ten variants cover the engine needs.  Nine are {2-valued, 3-valued} x
+  {full pass, cone-restricted} x {stem overrides, stem+pin overrides},
+  plus the plain 3-valued full pass.  The tenth, ``full2_x``, is the
+  2-valued full pass with XOR injection: every gate output is XORed with
+  a per-slot mask and every operand read from a net with distinct
+  branches with a per-pin mask.  With all-zero masks it is the fault-free
+  full pass; with one lane mask per flipped site it is the lane-packed
+  single-flip sweep (:func:`repro.sim.logicsim.simulate_flips`).
+  Variants are generated lazily on first use.
 - **Caching.**  Kernel sets are cached per netlist *content* fingerprint
   (:meth:`repro.circuit.netlist.Netlist.fingerprint`), mirroring the
   pattern-fingerprint keying of the campaign dictionary caches, so
@@ -150,6 +156,9 @@ class SlotProgram:
         "out_slots",
         "stride",
         "ops",
+        "xor_pins",
+        "no_x",
+        "no_px",
     )
 
     def __init__(self, netlist: Netlist):
@@ -172,6 +181,16 @@ class SlotProgram:
             ops.append((self.slot_of[net], gate.kind, srcs))
         self.ops = tuple(ops)
         self.stride = stride
+        #: pin key -> index into the ``full2_x`` per-pin XOR list, for the
+        #: pins whose branch is distinct from its stem
+        self.xor_pins: dict[int, int] = {}
+        for net in netlist.topo_order:
+            for pin, src in enumerate(netlist.gates[net].inputs):
+                if netlist.has_distinct_branches(src):
+                    self.xor_pins[self.pin_key(net, pin)] = len(self.xor_pins)
+        # All-zero injection masks: ``full2_x`` as the fault-free full pass.
+        self.no_x = (0,) * self.n_slots
+        self.no_px = (0,) * len(self.xor_pins)
 
     def pin_key(self, gate_net: str, pin: int) -> int:
         """Integer pin-override key for pin ``pin`` of gate ``gate_net``."""
@@ -258,24 +277,25 @@ def _lines3(kind: GateKind, srcs: list[tuple[str, str]], k: int) -> list[str]:
     raise SimulationError(f"cannot compile gate kind {kind}")
 
 
-#: Variant name -> (three_valued, cone_guarded, stem_overrides, pin_overrides)
-VARIANTS: dict[str, tuple[bool, bool, bool, bool]] = {
-    "full2": (False, False, False, False),
-    "full2_s": (False, False, True, False),
-    "full2_sp": (False, False, True, True),
-    "cone2_s": (False, True, True, False),
-    "cone2_sp": (False, True, True, True),
-    "full3": (True, False, False, False),
-    "full3_s": (True, False, True, False),
-    "full3_sp": (True, False, True, True),
-    "cone3_s": (True, True, True, False),
-    "cone3_sp": (True, True, True, True),
+#: Variant name -> (three_valued, cone_guarded, stem_overrides,
+#: pin_overrides, xor_injection)
+VARIANTS: dict[str, tuple[bool, bool, bool, bool, bool]] = {
+    "full2_x": (False, False, False, False, True),
+    "full2_s": (False, False, True, False, False),
+    "full2_sp": (False, False, True, True, False),
+    "cone2_s": (False, True, True, False, False),
+    "cone2_sp": (False, True, True, True, False),
+    "full3": (True, False, False, False, False),
+    "full3_s": (True, False, True, False, False),
+    "full3_sp": (True, False, True, True, False),
+    "cone3_s": (True, True, True, False, False),
+    "cone3_sp": (True, True, True, True, False),
 }
 
 
 def emit_kernel_source(program: SlotProgram, variant: str) -> str:
     """Render the Python source of one kernel variant for ``program``."""
-    three, guarded, stems, pins = VARIANTS[variant]
+    three, guarded, stems, pins, xor = VARIANTS[variant]
     args = ["o", "z"] if three else ["v"]
     args.append("m")
     if guarded:
@@ -284,8 +304,11 @@ def emit_kernel_source(program: SlotProgram, variant: str) -> str:
         args.extend(["so", "sz"] if three else ["st"])
     if pins:
         args.extend(["po", "pz"] if three else ["pp"])
+    if xor:
+        args.extend(["x", "px"])
     lines = [f"def {variant}({', '.join(args)}):"]
     stride = program.stride
+    xor_pins = program.xor_pins
     for k, kind, srcs in program.ops:
         indent = "    "
         if guarded:
@@ -312,6 +335,14 @@ def emit_kernel_source(program: SlotProgram, variant: str) -> str:
             else:
                 operands = [(f"o[{src}]", f"z[{src}]") for src in srcs]
             lines.extend(indent + line for line in _lines3(kind, operands, k))
+        elif xor:
+            operands2 = []
+            for pin, src in enumerate(srcs):
+                index = xor_pins.get(k * stride + pin)
+                operands2.append(
+                    f"v[{src}]" if index is None else f"(v[{src}] ^ px[{index}])"
+                )
+            lines.append(f"{indent}v[{k}] = ({_expr2(kind, operands2)}) ^ x[{k}]")
         else:
             if pins:
                 operands2 = [

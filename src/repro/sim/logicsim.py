@@ -8,11 +8,15 @@ Two backends share this entry point: the compiled slot-indexed kernels
 (:mod:`repro.sim.compile`, the default) and the interpreted walk kept as
 the differential-testing oracle (``REPRO_SIM=interp``).  Both produce
 identical value dicts in identical iteration order.
+
+:func:`simulate_flips` is the lane-packed single-flip sweep: one full
+pass over a word that holds one copy of the pattern set per candidate
+site, each copy with its own site complemented.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.circuit.gates import eval2
 from repro.circuit.netlist import Netlist, Site
@@ -101,7 +105,7 @@ def simulate(
     elif st:
         kernels.fn("full2_s")(slots, mask, st)
     else:
-        kernels.fn("full2")(slots, mask)
+        kernels.fn("full2_x")(slots, mask, program.no_x, program.no_px)
     return make_slot_values(program, slots, mask)
 
 
@@ -144,6 +148,109 @@ def _simulate_interp(
         out = eval2(gate.kind, ins, mask)
         values[net] = stem_over.get(net, out)
     return values
+
+
+def simulate_flips(
+    netlist: Netlist,
+    patterns: PatternSet,
+    base_values: Mapping[str, int],
+    sites: Sequence[Site],
+) -> list[dict[str, int]]:
+    """Per-output deltas of complementing each of ``sites`` alone, from
+    one lane-packed full pass.
+
+    With ``W`` the pattern count, lane ``i`` of every value is bits
+    ``[i*W, (i+1)*W)``: a copy of the fault-free circuit in which site
+    ``i``, and only it, is XORed with the lane mask -- a gate-output stem
+    after its gate, an input stem before the pass, a branch at its gate
+    pin (a branch of a net without distinct branches is its stem).  A
+    lane carries one fault and the netlist is a DAG, so site ``i`` holds
+    its fault-free value in lane ``i`` and the XOR complements it exactly
+    as the override ``base ^ mask`` would.  The result lists one
+    ``{output: delta}`` dict per site, keys in netlist output order.
+
+    ``sites`` must be distinct and valid, and ``base_values`` the
+    fault-free values of ``patterns``;
+    :meth:`repro.sim.cache.SimContext.flip_signatures` guarantees both.
+    """
+    COUNTERS.full_passes += 1
+    COUNTERS.gate_evals += netlist.n_gates
+    mask = patterns.mask
+    width = max(1, patterns.n)
+    # ``reps`` has bit 0 of every lane set: ``v * reps`` replicates a
+    # pattern-set vector into every lane.
+    reps = 0
+    stem_x: dict[str, int] = {}
+    pin_x: dict[tuple[str, int], int] = {}
+    for lane, site in enumerate(sites):
+        reps |= 1 << (lane * width)
+        lane_mask = mask << (lane * width)
+        if site.branch is not None and netlist.has_distinct_branches(site.net):
+            pin_x[site.branch] = pin_x.get(site.branch, 0) | lane_mask
+        else:
+            stem_x[site.net] = stem_x.get(site.net, 0) | lane_mask
+
+    kernels = active_kernels(netlist)
+    if kernels is None:
+        outs = _flip_pass_interp(netlist, patterns, reps, stem_x, pin_x)
+    else:
+        program = kernels.program
+        slot_of = program.slot_of
+        n_inputs = program.n_inputs
+        bits = patterns.bits
+        slots = [0] * program.n_slots
+        for slot, net in enumerate(netlist.inputs):
+            slots[slot] = bits[net] * reps
+        x = [0] * program.n_slots
+        for net, value in stem_x.items():
+            slot = slot_of[net]
+            if slot < n_inputs:
+                slots[slot] ^= value
+            else:
+                x[slot] = value
+        px = [0] * len(program.xor_pins)
+        for (gate, pin), value in pin_x.items():
+            px[program.xor_pins[program.pin_key(gate, pin)]] = value
+        kernels.fn("full2_x")(slots, mask * reps, x, px)
+        outs = [slots[slot] for slot in program.out_slots]
+
+    diffs: list[dict[str, int]] = [{} for _ in sites]
+    for net, value in zip(netlist.outputs, outs):
+        wide = value ^ (base_values[net] * reps)
+        lane = 0
+        while wide:
+            delta = wide & mask
+            if delta:
+                diffs[lane][net] = delta
+            wide >>= width
+            lane += 1
+    return diffs
+
+
+def _flip_pass_interp(
+    netlist: Netlist,
+    patterns: PatternSet,
+    reps: int,
+    stem_x: dict[str, int],
+    pin_x: dict[tuple[str, int], int],
+) -> list[int]:
+    """Interpreted packed walk (differential oracle for ``full2_x``):
+    output values of the fault-free pass over the lane-replicated
+    patterns with the XOR injections applied."""
+    wide_mask = patterns.mask * reps
+    bits = patterns.bits
+    values: dict[str, int] = {}
+    for net in netlist.inputs:
+        values[net] = (bits[net] * reps) ^ stem_x.get(net, 0)
+    gates = netlist.gates
+    for net in netlist.topo_order:
+        gate = gates[net]
+        ins = [
+            values[src] ^ pin_x.get((net, pin), 0)
+            for pin, src in enumerate(gate.inputs)
+        ]
+        values[net] = eval2(gate.kind, ins, wide_mask) ^ stem_x.get(net, 0)
+    return [values[net] for net in netlist.outputs]
 
 
 def simulate_outputs(

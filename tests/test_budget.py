@@ -39,6 +39,10 @@ from repro.core.diagnose import DiagnosisConfig, Diagnoser
 from repro.core.pertest import build_pertest
 from repro.core.xcover import build_xcover
 from repro.faults.models import StuckAtDefect
+from repro.sim.cache import reset_sim_caches, sim_context
+from repro.sim.compile import COUNTERS
+from repro.sim.event import resim_output_diff
+from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
 from repro.tester.datalog import Datalog, FailRecord
 from repro.tester.harness import apply_test
@@ -182,6 +186,51 @@ class TestStageBoundaries:
         assert analysis.sites[0] == sites[0]
         trunc = budget.truncations[0]
         assert (trunc.stage, trunc.done, trunc.total) == ("pertest", 1, len(sites))
+
+    def test_pertest_truncates_mid_chunk_like_a_per_site_sweep(
+        self, rca6, pats, datalog
+    ):
+        """A count budget that stops the lane-packed sweep inside a chunk
+        truncates at the same site, with the same flips, as one cone
+        resimulation per site, and charges swept sites, not lanes."""
+        sites = candidate_sites(rca6, datalog)
+        lanes, ceiling = 32, 40
+        assert len(sites) > 2 * lanes
+        work = pats.subset(list(datalog.failing_indices))
+        reset_sim_caches()
+        sim_context(rca6, work).flip_lanes = lanes
+
+        misses = COUNTERS.flip_misses
+        budget = Budget(max_expansions=ceiling)
+        analysis = build_pertest(rca6, pats, datalog, sites, budget=budget)
+        # The second chunk was simulated whole; nothing past it was.
+        assert COUNTERS.flip_misses - misses == 2 * lanes
+
+        # Reference: the per-site sweep, budget checked before each site.
+        reference = Budget(max_expansions=ceiling)
+        base = simulate(rca6, work)
+        mask = work.mask
+        swept, flips = [], {}
+        for done, site in enumerate(sites):
+            if done and reference.stop("pertest", done, len(sites)):
+                break
+            reference.charge()
+            swept.append(site)
+            flips[site] = resim_output_diff(
+                rca6, base, {site: (base[site.net] ^ mask) & mask}, mask
+            )
+
+        assert list(analysis.sites) == swept
+        assert [list(analysis.flip_diff[s].items()) for s in swept] == [
+            list(flips[s].items()) for s in swept
+        ]
+        unbounded = build_pertest(rca6, pats, datalog, swept)
+        assert analysis.exact_singletons == unbounded.exact_singletons
+        assert [(t.stage, t.done, t.total) for t in budget.truncations] == [
+            (t.stage, t.done, t.total) for t in reference.truncations
+        ] == [("pertest", ceiling, len(sites))]
+        assert budget.expansions == reference.expansions == ceiling
+        reset_sim_caches()  # drop the narrowed context
 
     def test_xcover_sweeps_one_site_then_stops(self, rca6, pats, datalog):
         budget = spent_budget()

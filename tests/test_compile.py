@@ -381,6 +381,113 @@ class TestBackendSelection:
             backend()
 
 
+# -- lane-packed single-flip sweep ----------------------------------------------
+
+
+def _gate_zoo():
+    """Every gate kind, plus each site shape the packed sweep special-cases.
+
+    ``b``, ``d`` and ``x1`` fan out to several pins; ``m1`` and ``g3`` are
+    primary outputs that also feed one gate; ``g2`` and ``k1`` feed one
+    pin and are not outputs (their branch is their stem); ``a`` is an
+    input that is also observed directly.
+    """
+    from repro.circuit.gates import Gate
+    from repro.circuit.netlist import Netlist
+
+    gates = [
+        Gate("x1", GateKind.XOR, ("a", "b")),
+        Gate("x2", GateKind.XNOR, ("b", "c")),
+        Gate("m1", GateKind.MUX, ("x1", "x2", "s")),
+        Gate("k0", GateKind.CONST0, ()),
+        Gate("k1", GateKind.CONST1, ()),
+        Gate("g1", GateKind.AND, ("m1", "k1")),
+        Gate("g2", GateKind.OR, ("c", "k0")),
+        Gate("g3", GateKind.NAND, ("g1", "d")),
+        Gate("g4", GateKind.NOR, ("g2", "x1", "x1")),
+        Gate("g5", GateKind.NOT, ("d",)),
+        Gate("g6", GateKind.BUF, ("g3",)),
+        Gate("g7", GateKind.XOR, ("g5", "g6", "b")),
+    ]
+    return Netlist(
+        "zoo", ("a", "b", "c", "d", "s"), ("m1", "g3", "g4", "g7", "a"), gates
+    )
+
+
+def _every_flip_site(netlist):
+    """Every stem and every branch, single-fanout branches included."""
+    sites = [Site(net) for net in netlist.nets()]
+    for gate in netlist.topo_order:
+        for pin, src in enumerate(netlist.gates[gate].inputs):
+            sites.append(Site(src, (gate, pin)))
+    return sites
+
+
+class TestFlipSignatures:
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("circuit", ["zoo", "dag3", "dag8"])
+    @pytest.mark.parametrize("lanes", [None, 7])
+    def test_packed_sweep_matches_per_site_resim(
+        self, monkeypatch, circuit, n, lanes
+    ):
+        if circuit == "zoo":
+            netlist = _gate_zoo()
+        else:
+            netlist = _random_netlist(int(circuit[3:]))
+        sites = _every_flip_site(netlist)
+
+        def run():
+            pats = PatternSet.random(netlist, n, seed=n)
+            ctx = sim_context(netlist, pats)
+            if lanes is not None:
+                ctx.flip_lanes = lanes
+            todo = sites
+            if len(todo) % ctx.flip_lanes == 0:
+                todo = todo[:-1]  # a ragged last chunk
+            passes = COUNTERS.full_passes
+            packed = ctx.flip_signatures(todo)
+            assert COUNTERS.full_passes - passes == -(-len(todo) // ctx.flip_lanes)
+            # Memo hits (and a repeated site) come back unchanged, in order.
+            again = ctx.flip_signatures(todo[::-1] + todo[:1])
+            assert again[:-1] == packed[::-1] and again[-1] is packed[0]
+            mask = pats.mask
+            brute = [
+                resim_output_diff(
+                    netlist, ctx.base, {site: (ctx.base[site.net] ^ mask) & mask}, mask
+                )
+                for site in todo
+            ]
+            return _deep_ordered(packed), _deep_ordered(brute)
+
+        (c_packed, c_brute), (i_packed, i_brute) = _both_backends(monkeypatch, run)
+        assert c_packed == c_brute
+        assert i_packed == i_brute
+        assert c_packed == i_packed
+
+    def test_branch_of_single_fanout_net(self):
+        """The reduction the packed pass relies on: a branch of a net with
+        one reader that is not an output flips exactly like its stem; an
+        output's lone branch does not."""
+        zoo = _gate_zoo()
+        pats = PatternSet.random(zoo, 40, seed=3)
+        ctx = sim_context(zoo, pats)
+        stem, branch, out_stem, out_branch = ctx.flip_signatures(
+            [Site("g2"), Site("g2", ("g4", 0)), Site("m1"), Site("m1", ("g1", 0))]
+        )
+        assert branch == stem
+        assert "m1" in out_stem and "m1" not in out_branch
+
+    def test_invalid_site_raises_before_any_pass(self):
+        from repro.errors import NetlistError
+
+        zoo = _gate_zoo()
+        ctx = sim_context(zoo, PatternSet.random(zoo, 8, seed=1))
+        passes = COUNTERS.full_passes
+        with pytest.raises(NetlistError):
+            ctx.flip_signatures([Site("a"), Site("a", ("g2", 0))])
+        assert COUNTERS.full_passes == passes
+
+
 # -- codegen sanity ------------------------------------------------------------
 
 
@@ -397,8 +504,8 @@ class TestCodegen:
         n = _random_netlist(12)
         before = COUNTERS.kernel_compiles
         kernels = kernels_for(n)
-        kernels.fn("full2")
-        kernels.fn("full2")
+        kernels.fn("full2_x")
+        kernels.fn("full2_x")
         assert COUNTERS.kernel_compiles == before + 1
 
 

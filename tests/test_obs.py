@@ -332,6 +332,28 @@ class TestTracedDeterminism:
             # Cold caches -> at least one kernel compile event.
             assert "sim.kernel_compile" in totals
 
+    def test_pertest_flip_sweep_span(self, diag_inputs):
+        from repro.serve.protocol import canonical_report_json
+
+        n, pats, result = diag_inputs
+        reset_sim_caches()
+        plain = Diagnoser(n).diagnose(pats, result.datalog)
+        reset_sim_caches()
+        tracer = Tracer()
+        traced = Diagnoser(n).diagnose(pats, result.datalog, tracer=tracer)
+        assert canonical_report_json(traced) == canonical_report_json(plain)
+
+        (root,) = tracer.to_dicts()
+        (pertest,) = [c for c in root["children"] if c["name"] == "pertest"]
+        sweeps = [c for c in pertest["children"] if c["name"] == "flip_sweep"]
+        assert len(sweeps) == 1
+        meta = sweeps[0]["meta"]
+        sites = int(traced.stats["n_candidate_space"])
+        work = pats.subset(list(result.datalog.failing_indices))
+        lanes = sim_context(n, work).flip_lanes
+        # Cold caches: every site simulated, one packed pass per chunk.
+        assert meta == {"sites": sites, "passes": -(-sites // lanes)}
+
     def test_xcover_engine_stage_span(self, diag_inputs):
         n, pats, result = diag_inputs
         reset_sim_caches()
