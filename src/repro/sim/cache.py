@@ -35,10 +35,9 @@ from collections import OrderedDict
 from typing import Iterable, Mapping, Sequence
 
 from repro.circuit.netlist import Netlist, Site
-from repro.errors import SimulationError
 from repro.obs.trace import trace_event
 from repro.sim.compile import COUNTERS, active_kernels, base_slots, reset_kernel_cache
-from repro.sim.event import resim_output_diff
+from repro.sim.event import cone_output_diff, resim_output_diff
 from repro.sim.logicsim import simulate, simulate_flips
 from repro.sim.patterns import PatternSet
 from repro.sim.threeval import joint_x_injection_reach, x_injection_reach
@@ -75,7 +74,6 @@ class SimContext:
         "_xreach",
         "_kernels",
         "_base_slots",
-        "_out_pairs",
         "_valid_sites",
     )
 
@@ -96,9 +94,7 @@ class SimContext:
         self._kernels = active_kernels(netlist)
         self._valid_sites: set[Site] = set()
         if self._kernels is not None:
-            program = self._kernels.program
-            self._base_slots = base_slots(program, self.base)
-            self._out_pairs = list(zip(netlist.outputs, program.out_slots))
+            self._base_slots = base_slots(self._kernels.program, self.base)
 
     # -- memoized queries --------------------------------------------------
 
@@ -107,8 +103,12 @@ class SimContext:
 
         Keyed by the override *signature*, so behaviorally-equivalent
         requests (same sites forced to the same vectors, whatever stage or
-        fault model produced them) are simulated once.  The returned dict
-        is shared -- callers must not mutate it.
+        fault model produced them) are simulated once.  Under the compiled
+        backend a miss runs :func:`~repro.sim.event.cone_output_diff`
+        against the context's own base slots, with site validation
+        memoized in the context -- the same few hundred sites recur across
+        thousands of what-if queries.  The returned dict is shared --
+        callers must not mutate it.
         """
         key = frozenset(overrides.items())
         diff = self._resim.get(key)
@@ -117,67 +117,19 @@ class SimContext:
             return diff
         COUNTERS.resim_misses += 1
         if self._kernels is not None:
-            diff = self._resim_compiled(overrides)
+            diff = cone_output_diff(
+                self.netlist,
+                self._kernels,
+                self._base_slots,
+                overrides,
+                self.mask,
+                self._valid_sites,
+            )
         else:
             diff = resim_output_diff(self.netlist, self.base, overrides, self.mask)
         if len(self._resim) >= MAX_MEMO_ENTRIES:
             self._resim.clear()
         self._resim[key] = diff
-        return diff
-
-    def _resim_compiled(self, overrides: Mapping[Site, int]) -> dict[str, int]:
-        """Inline compiled cone resim against the context's own base.
-
-        Equivalent to :func:`~repro.sim.event.resim_output_diff` (same
-        validation, same counters) minus the per-call backend dispatch, and
-        with site validation memoized -- the same few hundred sites recur
-        across thousands of what-if queries.
-        """
-        netlist = self.netlist
-        mask = self.mask
-        kernels = self._kernels
-        program = kernels.program
-        slot_of = program.slot_of
-        gates = netlist.gates
-        valid = self._valid_sites
-        base = self._base_slots
-        st: dict[int, int] = {}
-        pp: dict[int, int] = {}
-        roots: list[str] = []
-        input_slots: list[int] = []
-        for site, value in overrides.items():
-            if site not in valid:
-                netlist.validate_site(site)
-                valid.add(site)
-            if value < 0 or value > mask:
-                raise SimulationError(f"override for {site} exceeds pattern width")
-            branch = site.branch
-            if branch is None:
-                net = site.net
-                roots.append(net)
-                slot = slot_of[net]
-                st[slot] = value
-                if net not in gates:
-                    input_slots.append(slot)
-            else:
-                roots.append(branch[0])
-                pp[slot_of[branch[0]] * program.stride + branch[1]] = value
-        cone = netlist.fanout_cone(roots)
-        COUNTERS.cone_passes += 1
-        COUNTERS.gate_evals += len(cone)
-        slots = base.copy()
-        for slot in input_slots:
-            slots[slot] = st[slot]
-        cone_set, _cone_order = kernels.cone_slots(cone)
-        if pp:
-            kernels.fn("cone2_sp")(slots, mask, cone_set, st, pp)
-        else:
-            kernels.fn("cone2_s")(slots, mask, cone_set, st)
-        diff: dict[str, int] = {}
-        for net, slot in self._out_pairs:
-            delta = slots[slot] ^ base[slot]
-            if delta:
-                diff[net] = delta
         return diff
 
     def flip_signatures(self, sites: Sequence[Site]) -> list[dict[str, int]]:

@@ -14,15 +14,26 @@ for straight-line evaluators:
   and one store.
 - **Codegen.**  For each netlist a specialized Python function is emitted
   (one statement per gate, constants folded in) and compiled with ``exec``.
-  Ten variants cover the engine needs.  Nine are {2-valued, 3-valued} x
-  {full pass, cone-restricted} x {stem overrides, stem+pin overrides},
-  plus the plain 3-valued full pass.  The tenth, ``full2_x``, is the
-  2-valued full pass with XOR injection: every gate output is XORed with
-  a per-slot mask and every operand read from a net with distinct
-  branches with a per-pin mask.  With all-zero masks it is the fault-free
-  full pass; with one lane mask per flipped site it is the lane-packed
-  single-flip sweep (:func:`repro.sim.logicsim.simulate_flips`).
-  Variants are generated lazily on first use.
+  Six variants cover the engine needs, one per query:
+
+  - ``full2_x``: the 2-valued full pass with XOR injection -- every gate
+    output is XORed with a per-slot mask and every operand read from a
+    net with distinct branches with a per-pin mask.  With all-zero masks
+    it is the fault-free :func:`~repro.sim.logicsim.simulate`; with one
+    lane mask per flipped site it is the lane-packed single-flip sweep
+    (:func:`~repro.sim.logicsim.simulate_flips`).
+  - ``full2_sp``: :func:`~repro.sim.logicsim.simulate` with overrides.
+  - ``cone2_sp``: the cone resims of :mod:`repro.sim.event` (output
+    diffs, changed-net maps, the :class:`~repro.sim.cache.SimContext`
+    what-if memo).
+  - ``full3`` / ``full3_sp``: :func:`~repro.sim.threeval.simulate3`
+    without / with overrides.
+  - ``cone3_sp``: single-site and joint X reach.
+
+  Every override variant takes a stem map and a pin map together; a
+  caller with stem overrides only passes an empty pin map, so one kernel
+  serves both shapes of query.  Variants are generated lazily on first
+  use.
 - **Caching.**  Kernel sets are cached per netlist *content* fingerprint
   (:meth:`repro.circuit.netlist.Netlist.fingerprint`), mirroring the
   pattern-fingerprint keying of the campaign dictionary caches, so
@@ -118,18 +129,17 @@ def backend() -> str:
 
     Read from the ``REPRO_SIM`` environment variable at every call so tests
     and the CI escape hatch can switch backends without re-importing; only
-    the normalization of the raw value is cached.
+    the normalization of the raw value is cached.  Case and surrounding
+    whitespace are ignored; unset or empty means ``"compiled"``.
     """
     global _BACKEND_PARSE
     raw = os.environ.get("REPRO_SIM")
     cached = _BACKEND_PARSE
     if cached is not None and cached[0] == raw:
         return cached[1]
-    text = (raw or "compiled").strip().lower()
-    if text in ("", "compiled", "compile", "kernel", "kernels"):
-        resolved = "compiled"
-    elif text in ("interp", "interpreted", "python"):
-        resolved = "interp"
+    text = (raw or "").strip().lower() or "compiled"
+    if text in ("compiled", "interp"):
+        resolved = text
     else:
         raise SimulationError(
             f"unknown REPRO_SIM backend {raw!r} "
@@ -277,33 +287,28 @@ def _lines3(kind: GateKind, srcs: list[tuple[str, str]], k: int) -> list[str]:
     raise SimulationError(f"cannot compile gate kind {kind}")
 
 
-#: Variant name -> (three_valued, cone_guarded, stem_overrides,
-#: pin_overrides, xor_injection)
-VARIANTS: dict[str, tuple[bool, bool, bool, bool, bool]] = {
-    "full2_x": (False, False, False, False, True),
-    "full2_s": (False, False, True, False, False),
-    "full2_sp": (False, False, True, True, False),
-    "cone2_s": (False, True, True, False, False),
-    "cone2_sp": (False, True, True, True, False),
-    "full3": (True, False, False, False, False),
-    "full3_s": (True, False, True, False, False),
-    "full3_sp": (True, False, True, True, False),
-    "cone3_s": (True, True, True, False, False),
-    "cone3_sp": (True, True, True, True, False),
+#: Variant name -> (three_valued, cone_guarded, overrides, xor_injection).
+#: ``overrides`` means both stem and pin override maps; callers with no
+#: pins pass an empty pin map.
+VARIANTS: dict[str, tuple[bool, bool, bool, bool]] = {
+    "full2_x": (False, False, False, True),
+    "full2_sp": (False, False, True, False),
+    "cone2_sp": (False, True, True, False),
+    "full3": (True, False, False, False),
+    "full3_sp": (True, False, True, False),
+    "cone3_sp": (True, True, True, False),
 }
 
 
 def emit_kernel_source(program: SlotProgram, variant: str) -> str:
     """Render the Python source of one kernel variant for ``program``."""
-    three, guarded, stems, pins, xor = VARIANTS[variant]
+    three, guarded, overrides, xor = VARIANTS[variant]
     args = ["o", "z"] if three else ["v"]
     args.append("m")
     if guarded:
         args.append("c")
-    if stems:
-        args.extend(["so", "sz"] if three else ["st"])
-    if pins:
-        args.extend(["po", "pz"] if three else ["pp"])
+    if overrides:
+        args.extend(["so", "sz", "po", "pz"] if three else ["st", "pp"])
     if xor:
         args.extend(["x", "px"])
     lines = [f"def {variant}({', '.join(args)}):"]
@@ -314,7 +319,7 @@ def emit_kernel_source(program: SlotProgram, variant: str) -> str:
         if guarded:
             lines.append(f"{indent}if {k} in c:")
             indent += "    "
-        if stems:
+        if overrides:
             if three:
                 lines.append(f"{indent}if {k} in so:")
                 lines.append(f"{indent}    o[{k}] = so[{k}]; z[{k}] = sz[{k}]")
@@ -324,7 +329,7 @@ def emit_kernel_source(program: SlotProgram, variant: str) -> str:
             lines.append(f"{indent}else:")
             indent += "    "
         if three:
-            if pins:
+            if overrides:
                 operands = [
                     (
                         f"po.get({k * stride + pin}, o[{src}])",
@@ -344,13 +349,10 @@ def emit_kernel_source(program: SlotProgram, variant: str) -> str:
                 )
             lines.append(f"{indent}v[{k}] = ({_expr2(kind, operands2)}) ^ x[{k}]")
         else:
-            if pins:
-                operands2 = [
-                    f"pp.get({k * stride + pin}, v[{src}])"
-                    for pin, src in enumerate(srcs)
-                ]
-            else:
-                operands2 = [f"v[{src}]" for src in srcs]
+            operands2 = [
+                f"pp.get({k * stride + pin}, v[{src}])"
+                for pin, src in enumerate(srcs)
+            ]
             lines.append(f"{indent}v[{k}] = {_expr2(kind, operands2)}")
     if not program.ops:
         lines.append("    pass")

@@ -6,10 +6,13 @@ fanout cone of the overridden sites.  For localized changes -- the common
 case in fault simulation, critical path tracing and candidate refinement --
 this is dramatically cheaper than a full-netlist pass.
 
-The compiled backend evaluates the cone with a guarded straight-line kernel
-over the flat slot array; when ``base_values`` came from the compiled
-:func:`~repro.sim.logicsim.simulate` (a ``SlotValues``), the base slot list
-is reused directly and the whole resimulation allocates one list copy.
+The compiled backend evaluates the cone with the guarded straight-line
+``cone2_sp`` kernel over the flat slot array (:func:`_cone_pass`); when
+``base_values`` came from the compiled :func:`~repro.sim.logicsim.simulate`
+(a ``SlotValues``), the base slot list is reused directly and the whole
+resimulation allocates one list copy.  :func:`cone_output_diff` is the one
+compiled cone-to-output diff; :func:`resim_output_diff` and
+:meth:`~repro.sim.cache.SimContext.resim_diff` both call it.
 """
 
 from __future__ import annotations
@@ -19,27 +22,8 @@ from typing import Mapping
 from repro.circuit.gates import eval2
 from repro.circuit.netlist import Netlist, Site
 from repro.errors import SimulationError
-from repro.sim.compile import COUNTERS, active_kernels, base_slots
-
-
-def _split_resim_overrides(
-    netlist: Netlist, overrides: Mapping[Site, int], mask: int
-) -> tuple[dict[str, int], dict[tuple[str, int], int], frozenset[str]]:
-    """Validate overrides, split into stem/pin maps, return the fanout cone."""
-    stem_over: dict[str, int] = {}
-    pin_over: dict[tuple[str, int], int] = {}
-    roots: list[str] = []
-    for site, value in overrides.items():
-        netlist.validate_site(site)
-        if value < 0 or value > mask:
-            raise SimulationError(f"override for {site} exceeds pattern width")
-        if site.is_stem:
-            stem_over[site.net] = value
-            roots.append(site.net)
-        else:
-            pin_over[site.branch] = value
-            roots.append(site.branch[0])
-    return stem_over, pin_over, netlist.fanout_cone(roots)
+from repro.sim.compile import COUNTERS, KernelSet, active_kernels, base_slots
+from repro.sim.logicsim import split_overrides
 
 
 def resimulate_with_overrides(
@@ -54,54 +38,22 @@ def resimulate_with_overrides(
     differs from ``base_values`` (overridden sites included when they
     changed).  Reading a missing key therefore means "unchanged".
     """
-    stem_over, pin_over, cone = _split_resim_overrides(netlist, overrides, mask)
-    COUNTERS.cone_passes += 1
-    COUNTERS.gate_evals += len(cone)
-
     kernels = active_kernels(netlist)
     if kernels is None:
-        return _resim_interp(netlist, base_values, stem_over, pin_over, cone, mask)
+        return _resim_interp(netlist, base_values, overrides, mask)
 
     program = kernels.program
     base = base_slots(program, base_values)
-    slot_of = program.slot_of
-    gates = netlist.gates
-    # ``st`` carries input stems too: the guarded kernels only probe gate
-    # slots, so the extra keys are inert there.
-    st: dict[int, int] = {}
-    input_slots: list[int] = []
-    for net, value in stem_over.items():
-        slot = slot_of[net]
-        st[slot] = value
-        if net not in gates:
-            input_slots.append(slot)
-    input_slots.sort()
-    if pin_over:
-        stride = program.stride
-        pp = {
-            slot_of[gate] * stride + pin: value
-            for (gate, pin), value in pin_over.items()
-        }
-    else:
-        pp = {}
-
-    slots = base.copy()
+    slots, input_slots, cone_order = _cone_pass(
+        netlist, kernels, base, overrides, mask, set()
+    )
     changed: dict[str, int] = {}
     net_order = program.net_order
     # Overridden inputs first, in primary-input (= slot) order, matching
     # the interpreted walk's insertion order.
-    for slot in input_slots:
-        value = st[slot]
-        slots[slot] = value
-        if value != base[slot]:
-            changed[net_order[slot]] = value
-
-    cone_set, cone_order = kernels.cone_slots(cone)
-    if pp:
-        kernels.fn("cone2_sp")(slots, mask, cone_set, st, pp)
-    else:
-        kernels.fn("cone2_s")(slots, mask, cone_set, st)
-
+    for slot in sorted(input_slots):
+        if slots[slot] != base[slot]:
+            changed[net_order[slot]] = slots[slot]
     for slot in cone_order:
         value = slots[slot]
         if value != base[slot]:
@@ -109,15 +61,97 @@ def resimulate_with_overrides(
     return changed
 
 
+def _cone_pass(
+    netlist: Netlist,
+    kernels: KernelSet,
+    base: list,
+    overrides: Mapping[Site, int],
+    mask: int,
+    valid: set[Site],
+) -> tuple[list, list[int], tuple[int, ...]]:
+    """One compiled cone resimulation of ``overrides`` over ``base`` slots.
+
+    Validates every site not yet in ``valid`` (adding it there) and every
+    value against ``mask``, charges the cone pass, and runs ``cone2_sp``
+    on a copy of ``base``.  Returns the resimulated slot list, the slots
+    of overridden primary inputs, and the cone's gate slots in evaluation
+    order.
+    """
+    program = kernels.program
+    slot_of = program.slot_of
+    stride = program.stride
+    gates = netlist.gates
+    # ``st`` carries input stems too: the guarded kernel only probes gate
+    # slots, so the extra keys are inert there.
+    st: dict[int, int] = {}
+    pp: dict[int, int] = {}
+    roots: list[str] = []
+    input_slots: list[int] = []
+    for site, value in overrides.items():
+        if site not in valid:
+            netlist.validate_site(site)
+            valid.add(site)
+        if value < 0 or value > mask:
+            raise SimulationError(f"override for {site} exceeds pattern width")
+        branch = site.branch
+        if branch is None:
+            net = site.net
+            roots.append(net)
+            slot = slot_of[net]
+            st[slot] = value
+            if net not in gates:
+                input_slots.append(slot)
+        else:
+            roots.append(branch[0])
+            pp[slot_of[branch[0]] * stride + branch[1]] = value
+    cone = netlist.fanout_cone(roots)
+    COUNTERS.cone_passes += 1
+    COUNTERS.gate_evals += len(cone)
+    slots = base.copy()
+    for slot in input_slots:
+        slots[slot] = st[slot]
+    cone_set, cone_order = kernels.cone_slots(cone)
+    kernels.fn("cone2_sp")(slots, mask, cone_set, st, pp)
+    return slots, input_slots, cone_order
+
+
+def cone_output_diff(
+    netlist: Netlist,
+    kernels: KernelSet,
+    base: list,
+    overrides: Mapping[Site, int],
+    mask: int,
+    valid: set[Site],
+) -> dict[str, int]:
+    """The compiled cone-to-output diff: per-output delta vectors of
+    resimulating ``overrides`` over the ``base`` slot list.
+
+    ``valid`` holds sites already validated against ``netlist``; sites
+    outside it are validated and added.  A
+    :class:`~repro.sim.cache.SimContext` passes its own memo, so the few
+    hundred sites that recur across thousands of what-if queries are
+    validated once; :func:`resim_output_diff` passes a fresh set.
+    """
+    slots, _inputs, _order = _cone_pass(netlist, kernels, base, overrides, mask, valid)
+    diff: dict[str, int] = {}
+    for net, slot in zip(netlist.outputs, kernels.program.out_slots):
+        delta = slots[slot] ^ base[slot]
+        if delta:
+            diff[net] = delta
+    return diff
+
+
 def _resim_interp(
     netlist: Netlist,
     base_values: Mapping[str, int],
-    stem_over: dict[str, int],
-    pin_over: dict[tuple[str, int], int],
-    cone: frozenset[str],
+    overrides: Mapping[Site, int],
     mask: int,
 ) -> dict[str, int]:
     """Interpreted reference walk (differential oracle for the kernels)."""
+    stem_over, pin_over = split_overrides(netlist, overrides, mask)
+    cone = netlist.fanout_cone([*stem_over, *(gate for gate, _pin in pin_over)])
+    COUNTERS.cone_passes += 1
+    COUNTERS.gate_evals += len(cone)
     changed: dict[str, int] = {}
 
     def read(net: str) -> int:
@@ -152,56 +186,17 @@ def resim_output_diff(
 ) -> dict[str, int]:
     """Per-*output* difference vectors of resimulating with ``overrides``.
 
-    Exactly ``changed_outputs(netlist, resimulate_with_overrides(...))``,
-    but the compiled path skips materializing the full changed-nets map --
-    the cone kernel runs on the flat slot array and only the output slots
-    are compared.  This is the hot query of the cross-stage cache (flip
-    signatures, per-test assignment diffs, fault-model responses).
+    Exactly ``changed_outputs(netlist, resimulate_with_overrides(...))``.
+    The compiled path is :func:`cone_output_diff` with a fresh validated-site
+    set: the cone kernel runs on the flat slot array and only the output
+    slots are compared, so the changed-nets map is never materialized.
     """
-    stem_over, pin_over, cone = _split_resim_overrides(netlist, overrides, mask)
-    COUNTERS.cone_passes += 1
-    COUNTERS.gate_evals += len(cone)
-
     kernels = active_kernels(netlist)
     if kernels is None:
-        changed = _resim_interp(netlist, base_values, stem_over, pin_over, cone, mask)
+        changed = _resim_interp(netlist, base_values, overrides, mask)
         return changed_outputs(netlist, changed, base_values, mask)
-
-    program = kernels.program
-    base = base_slots(program, base_values)
-    slot_of = program.slot_of
-    gates = netlist.gates
-    st: dict[int, int] = {}
-    input_slots: list[int] = []
-    for net, value in stem_over.items():
-        slot = slot_of[net]
-        st[slot] = value
-        if net not in gates:
-            input_slots.append(slot)
-    if pin_over:
-        stride = program.stride
-        pp = {
-            slot_of[gate] * stride + pin: value
-            for (gate, pin), value in pin_over.items()
-        }
-    else:
-        pp = {}
-
-    slots = base.copy()
-    for slot in input_slots:
-        slots[slot] = st[slot]
-    cone_set, _cone_order = kernels.cone_slots(cone)
-    if pp:
-        kernels.fn("cone2_sp")(slots, mask, cone_set, st, pp)
-    else:
-        kernels.fn("cone2_s")(slots, mask, cone_set, st)
-
-    diff: dict[str, int] = {}
-    for net, slot in zip(netlist.outputs, program.out_slots):
-        delta = slots[slot] ^ base[slot]
-        if delta:
-            diff[net] = delta
-    return diff
+    base = base_slots(kernels.program, base_values)
+    return cone_output_diff(netlist, kernels, base, overrides, mask, set())
 
 
 def changed_outputs(

@@ -37,12 +37,13 @@ def _check_inputs(netlist: Netlist, patterns: PatternSet) -> None:
         )
 
 
-def _split_overrides(
+def split_overrides(
     netlist: Netlist,
     overrides: Mapping[Site, int] | None,
     mask: int,
 ) -> tuple[dict[str, int], dict[tuple[str, int], int]]:
-    """Validate and split overrides into stem and pin maps."""
+    """Validate overrides (site, then width, one site at a time) and split
+    them into stem and pin maps."""
     stem_over: dict[str, int] = {}
     pin_over: dict[tuple[str, int], int] = {}
     for site, value in (overrides or {}).items():
@@ -71,7 +72,7 @@ def simulate(
     """
     _check_inputs(netlist, patterns)
     mask = patterns.mask
-    stem_over, pin_over = _split_overrides(netlist, overrides, mask)
+    stem_over, pin_over = split_overrides(netlist, overrides, mask)
     COUNTERS.full_passes += 1
     COUNTERS.gate_evals += netlist.n_gates
 
@@ -95,15 +96,13 @@ def simulate(
         for net, value in stem_over.items()
         if net in gates
     }
-    if pin_over:
+    if st or pin_over:
         stride = program.stride
         pp = {
             slot_of[gate] * stride + pin: value
             for (gate, pin), value in pin_over.items()
         }
         kernels.fn("full2_sp")(slots, mask, st, pp)
-    elif st:
-        kernels.fn("full2_s")(slots, mask, st)
     else:
         kernels.fn("full2_x")(slots, mask, program.no_x, program.no_px)
     return make_slot_values(program, slots, mask)

@@ -79,7 +79,7 @@ def simulate3(
             slot = slot_of[net]
             so[slot] = tv[0] & mask
             sz[slot] = tv[1] & mask
-    if pin_over:
+    if so or pin_over:
         stride = program.stride
         po: dict[int, int] = {}
         pz: dict[int, int] = {}
@@ -88,8 +88,6 @@ def simulate3(
             po[key] = tv[0] & mask
             pz[key] = tv[1] & mask
         kernels.fn("full3_sp")(ones, zeros, mask, so, sz, po, pz)
-    elif so:
-        kernels.fn("full3_s")(ones, zeros, mask, so, sz)
     else:
         kernels.fn("full3")(ones, zeros, mask)
 
@@ -144,7 +142,7 @@ def x_injection_reach(
     cone restriction is what makes per-site X analysis cheap enough to run
     for every candidate site of every failing pattern.
     """
-    return _x_reach(netlist, patterns, (site,), base_values, joint=False)
+    return _x_reach(netlist, patterns, (site,), base_values)
 
 
 def joint_x_injection_reach(
@@ -162,7 +160,7 @@ def joint_x_injection_reach(
     injection, so an output bit that stays binary here keeps its
     fault-free value under all of them.
     """
-    return _x_reach(netlist, patterns, sites, base_values, joint=True)
+    return _x_reach(netlist, patterns, sites, base_values)
 
 
 def _x_reach(
@@ -170,13 +168,12 @@ def _x_reach(
     patterns: PatternSet,
     sites: Iterable[Site],
     base_values: Mapping[str, int] | None,
-    joint: bool,
 ) -> dict[str, int]:
     """X reach of ``sites`` forced X together.
 
-    Joint queries always run the stem+pin kernel, even for stems only, so
-    a cold run that asks only joint questions compiles one kernel variant
-    for them, not two.
+    Single-site and joint queries, stems and branches alike, run the one
+    ``cone3_sp`` kernel (a stem-only query passes an empty pin map), so a
+    cold run compiles one 3-valued cone variant, not two.
     """
     stems: set[str] = set()
     pins: set[tuple[str, int]] = set()
@@ -213,12 +210,9 @@ def _x_reach(
             else:
                 so[slot] = mask
                 sz[slot] = mask
-        if pins or joint:
-            stride = program.stride
-            px = {slot_of[gate] * stride + pin: mask for gate, pin in pins}
-            kernels.fn("cone3_sp")(ones, zeros, mask, cone_set, so, sz, px, px)
-        else:
-            kernels.fn("cone3_s")(ones, zeros, mask, cone_set, so, sz)
+        stride = program.stride
+        px = {slot_of[gate] * stride + pin: mask for gate, pin in pins}
+        kernels.fn("cone3_sp")(ones, zeros, mask, cone_set, so, sz, px, px)
         reach = {}
         for out_net in netlist.outputs:
             slot = slot_of[out_net]

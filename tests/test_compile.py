@@ -21,7 +21,7 @@ import pytest
 from repro.circuit.gates import GateKind, tv_all_x, tv_xmask
 from repro.circuit.generators import alu, random_dag, ripple_carry_adder
 from repro.circuit.netlist import Site
-from repro.errors import SimulationError
+from repro.errors import NetlistError, SimulationError
 from repro.sim.cache import active_context, reset_sim_caches, sim_context
 from repro.sim.compile import (
     COUNTERS,
@@ -39,7 +39,11 @@ from repro.sim.event import (
 )
 from repro.sim.logicsim import simulate
 from repro.sim.patterns import PatternSet
-from repro.sim.threeval import simulate3, x_injection_reach
+from repro.sim.threeval import (
+    joint_x_injection_reach,
+    simulate3,
+    x_injection_reach,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -342,11 +346,34 @@ class TestDifferential:
     def test_override_width_errors_match(self, monkeypatch):
         n = _random_netlist(1)
         pats = PatternSet.random(n, 5, seed=1)
+        mask = pats.mask
+        gates = sorted(n.gates)
         bad = {Site(next(iter(n.nets()))): 1 << pats.n}
+        # A valid site first, so a per-call validation memo is exercised
+        # before the invalid one.
+        unknown = {Site(gates[0]): 0, Site("no_such_net"): 0}
         for env in ("compiled", "interp"):
             monkeypatch.setenv("REPRO_SIM", env)
+            reset_sim_caches()
             with pytest.raises(SimulationError):
                 simulate(n, pats, overrides=bad)
+            base = simulate(n, pats)
+            ctx = sim_context(n, pats)
+            # Memoize other sites' validation first: a warm memo must not
+            # let an unseen bad site or value through.
+            ctx.resim_diff({Site(gates[1]): 0, Site(gates[2]): mask})
+            queries = (
+                lambda over: resim_output_diff(n, base, over, mask),
+                lambda over: resimulate_with_overrides(n, base, over, mask),
+                ctx.resim_diff,
+            )
+            for query in queries:
+                with pytest.raises(SimulationError):
+                    query(bad)
+                with pytest.raises(SimulationError):
+                    query({Site(gates[1]): 1 << pats.n})
+                with pytest.raises(NetlistError):
+                    query(unknown)
 
 
 # -- backend selection ---------------------------------------------------------
@@ -356,18 +383,35 @@ class TestBackendSelection:
     def test_default_is_compiled(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM", raising=False)
         assert backend() == "compiled"
+        monkeypatch.setenv("REPRO_SIM", " ")
+        assert backend() == "compiled"
 
-    @pytest.mark.parametrize("alias", ["compiled", "kernels", "COMPILE "])
+    @pytest.mark.parametrize("alias", ["compiled", " COMPILED ", "Compiled"])
     def test_compiled_aliases(self, monkeypatch, alias):
         monkeypatch.setenv("REPRO_SIM", alias)
         assert backend() == "compiled"
 
-    @pytest.mark.parametrize("alias", ["interp", "interpreted", "Python"])
+    @pytest.mark.parametrize("alias", ["interp", " INTERP ", "Interp"])
     def test_interp_aliases(self, monkeypatch, alias):
         monkeypatch.setenv("REPRO_SIM", alias)
         assert backend() == "interp"
 
-    @pytest.mark.parametrize("value", ["packed", "PPSFP", " ppsfp "])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "packed",
+            "PPSFP",
+            " ppsfp ",
+            # Former aliases: the two backend names are the only spellings.
+            "compile",
+            "COMPILE ",
+            "kernel",
+            "kernels",
+            "interpreted",
+            "python",
+            "Python",
+        ],
+    )
     def test_packed_is_rejected(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_SIM", value)
         with pytest.raises(
@@ -478,8 +522,6 @@ class TestFlipSignatures:
         assert "m1" in out_stem and "m1" not in out_branch
 
     def test_invalid_site_raises_before_any_pass(self):
-        from repro.errors import NetlistError
-
         zoo = _gate_zoo()
         ctx = sim_context(zoo, PatternSet.random(zoo, 8, seed=1))
         passes = COUNTERS.full_passes
@@ -495,6 +537,9 @@ class TestCodegen:
     def test_every_variant_compiles(self):
         n = _random_netlist(11)
         kernels = kernels_for(n)
+        assert set(VARIANTS) == {
+            "full2_x", "full2_sp", "cone2_sp", "full3", "full3_sp", "cone3_sp",
+        }
         for variant in VARIANTS:
             source = emit_kernel_source(kernels.program, variant)
             assert source.startswith(f"def {variant}(")
@@ -507,6 +552,24 @@ class TestCodegen:
         kernels.fn("full2_x")
         kernels.fn("full2_x")
         assert COUNTERS.kernel_compiles == before + 1
+
+    def test_stem_and_pin_queries_share_one_kernel(self, monkeypatch):
+        """Stem-only and branch queries of one kind run the same kernel:
+        one 2-valued and one 3-valued cone variant in all."""
+        monkeypatch.setenv("REPRO_SIM", "compiled")
+        n = _random_netlist(13)
+        pats = PatternSet.random(n, 17, seed=13)
+        mask = pats.mask
+        base = simulate(n, pats)
+        gate = sorted(n.gates)[-1]
+        stem = Site(gate)
+        branch = Site(n.gates[gate].inputs[0], (gate, 0))
+        before = COUNTERS.kernel_compiles
+        resim_output_diff(n, base, {stem: base[gate] ^ mask}, mask)
+        resim_output_diff(n, base, {branch: 0}, mask)
+        x_injection_reach(n, pats, stem, base)
+        joint_x_injection_reach(n, pats, [stem, branch], base)
+        assert COUNTERS.kernel_compiles == before + 2
 
 
 # -- cache keying and invalidation ---------------------------------------------
